@@ -11,9 +11,14 @@ echo "== aurora-lint (workspace invariant gate, docs/LINTS.md) =="
 # One invocation gates the build, emits the SARIF artifact and records
 # the analyzer perf baseline: findings go to lint.sarif for
 # code-scanning upload, the human summary goes to stderr, and a
-# non-zero exit fails CI.
+# non-zero exit fails CI. The gate runs cold (cache deleted) and then
+# warm (every file served from the incremental cache); the two SARIF
+# outputs must be identical, so a cache that serves wrong facts fails.
 mkdir -p target/ci
+rm -f target/aurora-lint.cache
 cargo run -q -p aurora-lint -- --format sarif --bench target/ci/BENCH_lint.json > lint.sarif
+cargo run -q -p aurora-lint -- --format sarif > target/ci/lint.warm.sarif
+diff lint.sarif target/ci/lint.warm.sarif
 # The semantic rules (dataflow, concurrency, checkpoint drift, taint,
 # wire drift) must be in the shipped catalogue — a SARIF without them
 # means the gate silently lost coverage.

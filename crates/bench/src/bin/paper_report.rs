@@ -201,7 +201,7 @@ fn book(md: &mut String, scale: Scale) {
             "`perf_baseline`",
             "`perf_baseline -- --scale test`",
             "`BENCH_replay.json`, `BENCH_sim.json`",
-            "host-dependent wall-clock; per-op, block-superinstruction and streamed \
+            "host-dependent wall-clock; per-op, block and streamed \
              modes asserted bit-identical (every row above replays through the \
              block engine, see docs/MODEL.md \"Block lowering\")",
         ),

@@ -16,11 +16,9 @@
 //! skipping and once in naive walk-every-cycle mode, the statistics are
 //! asserted bit-identical, and the figures land in `BENCH_sim.json`
 //! (override with `--sim-out PATH`). The same section then lowers the
-//! traces into basic-block superinstructions and times
-//! [`replay_blocks`] — with the fast path enabled and with the
-//! `block_replay` knob off — asserting every mode bit-identical to the
-//! per-op replay before recording `block_instr_per_sec` and
-//! `block_speedup_vs_per_op`.
+//! traces into deduplicated basic blocks and times [`replay_blocks`],
+//! asserting it bit-identical to the per-op replay before recording
+//! `block_instr_per_sec` and `block_speedup_vs_per_op`.
 //!
 //! A fourth section benchmarks **sampled** simulation
 //! ([`run_sampled_digest`], docs/MODEL.md "Sampled simulation"): every
@@ -63,20 +61,12 @@ fn sweep_configs() -> Vec<MachineConfig> {
     out
 }
 
-/// Baseline dual-issue config for the per-op replay modes, with the
-/// observer and event-horizon knobs set per mode.
-fn per_op_cfg(observe: bool, cycle_skip: bool) -> MachineConfig {
+/// Baseline dual-issue config for the replay modes, with the observer
+/// and event-horizon knobs set per mode.
+fn sim_cfg(observe: bool, cycle_skip: bool) -> MachineConfig {
     let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     cfg.observe = observe;
     cfg.cycle_skip = cycle_skip;
-    cfg
-}
-
-/// Baseline dual-issue config for the block engine, with the
-/// superinstruction fast path toggled per mode.
-fn block_cfg(block_replay: bool) -> MachineConfig {
-    let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
-    cfg.block_replay = block_replay;
     cfg
 }
 
@@ -229,7 +219,7 @@ fn main() {
     let _ = writeln!(sim_json, "  \"scale\": \"{scale}\",");
     let _ = writeln!(sim_json, "  \"config\": \"baseline/dual-issue\",");
 
-    // Lower each packed trace into basic-block superinstructions up
+    // Lower each packed trace into deduplicated basic blocks up
     // front (timed once — lowering is capture-side work, amortised
     // across every sweep that reuses the blocks).
     let t_lower = Instant::now();
@@ -242,36 +232,31 @@ fn main() {
         "sim/lower: {lower_s:.3} s  ({static_ops} static ops for {dynamic_ops} dynamic, {reuse:.0}x reuse)"
     );
 
-    // Five modes over the same work: per-op replay with event-horizon
+    // Four modes over the same work: per-op replay with event-horizon
     // skipping, the naive walk-every-cycle reference, the observed
-    // (cycle-event ring) replay, and the block engine with the fast
-    // path on and off. Rounds are interleaved — every mode runs once
-    // per round and each keeps its best time — so slow drift in host
-    // clock speed lands on all modes alike instead of biasing whichever
-    // section ran in the fast phase. All five must agree bit-for-bit
-    // on every kernel's statistics.
+    // (cycle-event ring) replay, and block replay. Rounds are
+    // interleaved — every mode runs once per round and each keeps its
+    // best time — so slow drift in host clock speed lands on all modes
+    // alike instead of biasing whichever section ran in the fast phase.
+    // All four must agree bit-for-bit on every kernel's statistics.
     type ModeFn<'a> = Box<dyn Fn() -> Vec<aurora_core::SimStats> + 'a>;
     let traces = &traces;
     let blocks = &blocks;
     let modes: Vec<(&str, ModeFn)> = vec![
         ("skip", {
-            let cfg = per_op_cfg(false, true);
+            let cfg = sim_cfg(false, true);
             Box::new(move || traces.iter().map(|tr| replay(&cfg, tr)).collect())
         }),
         ("naive", {
-            let cfg = per_op_cfg(false, false);
+            let cfg = sim_cfg(false, false);
             Box::new(move || traces.iter().map(|tr| replay(&cfg, tr)).collect())
         }),
         ("observed", {
-            let cfg = per_op_cfg(true, true);
+            let cfg = sim_cfg(true, true);
             Box::new(move || traces.iter().map(|tr| replay(&cfg, tr)).collect())
         }),
         ("block", {
-            let cfg = block_cfg(true);
-            Box::new(move || blocks.iter().map(|b| replay_blocks(&cfg, b)).collect())
-        }),
-        ("block_off", {
-            let cfg = block_cfg(false);
+            let cfg = sim_cfg(false, true);
             Box::new(move || blocks.iter().map(|b| replay_blocks(&cfg, b)).collect())
         }),
     ];
@@ -308,11 +293,9 @@ fn main() {
         "sim/observed: {observe_secs:.3} s  ({:+.1}% vs unobserved, stats bit-identical)",
         100.0 * observe_overhead
     );
-    let block_modes = &mode_results[3..5];
-    for (label, s, ips) in block_modes {
-        println!("sim/{label}: {s:.3} s  ({ips:.0} instr/s)");
-    }
-    let block_speedup = block_modes[0].2 / mode_results[0].2;
+    let (_, block_secs, block_ips) = mode_results[3];
+    println!("sim/block: {block_secs:.3} s  ({block_ips:.0} instr/s)");
+    let block_speedup = block_ips / mode_results[0].2;
     println!("sim/block-vs-per-op: {block_speedup:.2}x, stats bit-identical");
     let _ = writeln!(sim_json, "  \"instructions\": {instrs},");
     for (label, secs, ips) in &mode_results[..2] {
@@ -329,10 +312,8 @@ fn main() {
     let _ = writeln!(sim_json, "  \"block_lower_seconds\": {lower_s:.6},");
     let _ = writeln!(sim_json, "  \"block_static_ops\": {static_ops},");
     let _ = writeln!(sim_json, "  \"block_reuse_factor\": {reuse:.1},");
-    for (label, secs, ips) in block_modes {
-        let _ = writeln!(sim_json, "  \"{label}_seconds\": {secs:.6},");
-        let _ = writeln!(sim_json, "  \"{label}_instr_per_sec\": {ips:.0},");
-    }
+    let _ = writeln!(sim_json, "  \"block_seconds\": {block_secs:.6},");
+    let _ = writeln!(sim_json, "  \"block_instr_per_sec\": {block_ips:.0},");
     let _ = writeln!(
         sim_json,
         "  \"block_speedup_vs_per_op\": {block_speedup:.3},"

@@ -6,13 +6,13 @@
 //! ultimately a (configurations × workloads) sweep, and the trace of a
 //! (workload, scale) pair is configuration-independent. The matrix runner
 //! therefore captures each workload's packed trace once — through the
-//! process-wide [`TraceStore`] — lowers it once into basic-block
-//! superinstructions ([`aurora_isa::BlockTrace`]), and replays the
-//! shared, pre-resolved blocks across a work-stealing thread pool, one
-//! cell at a time. Compared with re-emulating the kernel per cell,
-//! replay skips the functional emulator entirely; compared with per-op
-//! replay, block replay amortises fetch, footprint and scoreboard checks
-//! over whole blocks. Statistics stay bit-identical throughout.
+//! process-wide [`TraceStore`] — lowers it once into deduplicated basic
+//! blocks ([`aurora_isa::BlockTrace`]), and replays the shared,
+//! pre-decoded blocks across a work-stealing thread pool, one cell at a
+//! time. Compared with re-emulating the kernel per cell, replay skips
+//! the functional emulator entirely; compared with per-op replay, block
+//! replay decodes each static op once instead of once per execution.
+//! Statistics stay bit-identical throughout.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};

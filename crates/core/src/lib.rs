@@ -65,7 +65,7 @@ pub use config::{
 };
 pub use obs::{Histogram, ObsEvent, ObsEventKind, Observer, StallCause};
 pub use rob::ReorderBuffer;
-pub use sample::{run_sampled, run_sampled_digest, run_sampled_records, SampledStats};
+pub use sample::{run_sampled, run_sampled_digest, SampledStats};
 pub use sim::{
     replay, replay_blocks, simulate, simulate_program, IssueRecord, Simulator, WarmDigest,
 };

@@ -186,16 +186,6 @@ fn run_sampled_inner(
     }
 }
 
-/// [`run_sampled`] over a raw record slice (the harness's cached traces
-/// hand out slices of a shared capture).
-pub fn run_sampled_records(
-    cfg: &MachineConfig,
-    sampling: &SamplingConfig,
-    ops: &[PackedOp],
-) -> SampledStats {
-    run_sampled_inner(cfg, sampling, ops, None)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -40,8 +40,8 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use aurora_isa::{
-    ArchReg, BlockTemplate, BlockTrace, EmuError, Emulator, OpKind, PackedOp, PackedTrace, Program,
-    SegPlan, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter, TraceOp, HILO_BIT,
+    ArchReg, BlockTrace, EmuError, Emulator, OpKind, PackedOp, PackedTrace, Program, Snapshot,
+    SnapshotError, SnapshotReader, SnapshotWriter, TraceOp,
 };
 use aurora_mem::{
     Biu, DecodedICache, DirectMappedCache, Geometry, LineAddr, MshrFile, PairInfo, StreamBuffers,
@@ -75,10 +75,6 @@ const MSHR_HIT_HOLD: u64 = 2;
 /// ×2), so one group never forces more than one mid-group flush even in
 /// the worst case.
 const OBS_BATCH: usize = 24;
-/// Minimum remaining batchable-run length worth entering the block fast
-/// path: below this the entry checks cost more than the per-group
-/// savings.
-const MIN_FAST_RUN: usize = 2;
 /// Upper bound on the serialized pending-queue blob inside a checkpoint.
 /// The look-ahead queue holds at most one op between public calls, so a
 /// longer blob can only come from a corrupt image.
@@ -421,33 +417,16 @@ impl<'cfg> Simulator<'cfg> {
         }
     }
 
-    /// Feeds a lowered [`BlockTrace`], replaying whole basic-block
-    /// superinstructions at a time.
+    /// Feeds a lowered [`BlockTrace`], one basic block at a time.
     ///
     /// Each dynamic block instance resolves to a pre-decoded template:
     /// no per-op unpack, and the template pool stays hot in cache while
-    /// replay streams one `u32` id per block. Inside a block, maximal
-    /// *batchable* runs — every op except control flow, pre-analysed
-    /// at lowering time with their dynamic-source-check mask — execute
-    /// through a specialised issue loop whose per-group work is
-    /// trimmed to exactly the constraints the lowering could not
-    /// discharge (ROB space, the data-cache port, MSHRs, the FPU issue
-    /// queue, flagged sources, I-cache residency on fetch-pair
-    /// transition). Runs may be entered at any interior op, so the
-    /// fast path re-engages right after the delay-slot/redirect groups
-    /// that follow a taken branch. Anything the loop does not model —
-    /// an attached observer or issue log, naive cycle stepping — falls
-    /// back to the full per-op [`issue_pair`](Simulator::feed) path,
-    /// so [`SimStats`] stay bit-identical to per-op replay (asserted
-    /// by the block differential suite).
+    /// replay streams one `u32` id per block. Every op then goes through
+    /// the same [`issue_pair`](Simulator::feed) walk as per-op replay,
+    /// with the block's last op carried into the next block's head, so
+    /// [`SimStats`] are bit-identical to [`Simulator::feed_packed`]
+    /// (asserted by the block differential suite).
     pub fn feed_blocks(&mut self, blocks: &BlockTrace) {
-        // The fast path replicates the per-op walk only under the
-        // default skip-mode semantics with no event consumers attached;
-        // anything else falls back wholesale.
-        let fast_ok = self.cfg.cycle_skip
-            && self.cfg.block_replay
-            && self.obs.is_none()
-            && self.issue_log.is_none();
         for &tid in blocks.instances() {
             let Some(tmpl) = blocks.templates().get(tid as usize) else {
                 debug_assert!(false, "block instance {tid} out of range");
@@ -474,12 +453,6 @@ impl<'cfg> Simulator<'cfg> {
                 }
             }
             while i < ops.len() {
-                if fast_ok {
-                    if let Some(j) = self.try_fast_run(tmpl, ops, i) {
-                        i = j;
-                        continue;
-                    }
-                }
                 let Some(first) = ops.get(i) else { break };
                 match ops.get(i + 1) {
                     Some(second) => {
@@ -498,408 +471,6 @@ impl<'cfg> Simulator<'cfg> {
                     }
                 }
             }
-        }
-    }
-
-    /// Executes the batchable run containing op index `i` (entered at
-    /// `i`, which may lie anywhere inside the run) through the
-    /// superinstruction fast path. Returns the next op index (> `i`)
-    /// when the run was taken, or `None` to fall back to the generic
-    /// per-op path for this position.
-    ///
-    /// The loop is [`issue_pair`](Simulator::feed) with everything the
-    /// lowering pre-resolved stripped out; what remains is exact, not
-    /// approximate — it performs the same state updates in the same
-    /// order, so [`SimStats`] stay bit-identical:
-    ///
-    /// * *Fetch* collapses to a residency check and probe on pair
-    ///   transition. A resident line's probe is a guaranteed hit and
-    ///   never binds (nothing in a run can evict an I-cache line); a
-    ///   non-resident line exits the batch at the missing op, leaving
-    ///   the miss to the generic path — so a run batches exactly its
-    ///   resident prefix.
-    /// * *Sources* are checked only for ops whose `need_src` bit is
-    ///   set: live-in readers and readers of an in-run load or mul/div
-    ///   result. A not-ready source binds the group's issue time with
-    ///   the same first-wins attribution `issue_pair` would record, so
-    ///   entry needs no readiness pre-check at all. Every other source
-    ///   is forwarded one cycle after an earlier in-run ALU group —
-    ///   ready no later than the group's fetch-bound lower bound —
-    ///   whether that producer issued inside this batch or on the
-    ///   generic path before a mid-run entry.
-    /// * *ROB, data-cache port, MSHR and store-queue* constraints are
-    ///   gathered per group exactly as `issue_pair` gathers them, in
-    ///   the same first-wins order with the same lazy drains, and a
-    ///   binding constraint stalls the group in place — the batch
-    ///   never has to abort mid-run.
-    /// * *Execution* is the shared [`execute`](Simulator::feed) arms:
-    ///   loads, stores and FP loads/stores run their full LSU paths
-    ///   (miss service, fills, MSHR traffic included). Batchable ops
-    ///   never arm the fetch redirect, so the delay-slot chain the
-    ///   loop skips is provably quiescent.
-    fn try_fast_run(&mut self, tmpl: &BlockTemplate, ops: &[TraceOp], i: usize) -> Option<usize> {
-        debug_assert!(self.pending.is_empty());
-        let end = i + (tmpl.batch_mask >> (i as u32 & 63)).trailing_ones() as usize;
-        if end < i + MIN_FAST_RUN {
-            return None;
-        }
-        let dual_width = self.cfg.issue_width == IssueWidth::Dual;
-        let mut j = i;
-        // A group whose partner would lie beyond the run exits to the
-        // generic path, which owns every cross-boundary pairing call.
-        while j + 1 < end {
-            // Superinstruction apply: a pre-compiled schedule covers
-            // this position, no redirect is armed, and the grouping was
-            // computed under this issue width — check its preconditions
-            // once and apply the whole stretch in O(registers + lines).
-            if bit(tmpl.plan_mask, j) && self.delay_pending.is_none() && self.after_ctl.is_none() {
-                let rank = (tmpl.plan_mask & ((1u64 << (j as u32 & 63)) - 1)).count_ones() as usize;
-                if let Some(plan) = tmpl.plans.get(rank) {
-                    debug_assert_eq!(usize::from(plan.entry), j);
-                    if dual_width || plan.duals == 0 {
-                        if let Some(n) = self.try_apply_plan(plan, ops) {
-                            j += n;
-                            continue;
-                        }
-                    }
-                }
-            }
-            #[cfg(debug_assertions)]
-            self.horizon_probe.set(None);
-            if self.next_fill_at <= self.now {
-                self.apply_fills(self.now);
-            }
-            let Some(a) = ops.get(j) else { return Some(j) };
-            // Fetch. The overwhelmingly common case — same pair, or a
-            // transition onto a resident line with no redirect armed —
-            // collapses to a compare (plus the per-op path's stats
-            // probe on transition). A pending delay-slot redirect or a
-            // non-resident line takes the full fetch call instead: the
-            // redirect's folding bookkeeping and the miss service are
-            // the *same calls* the generic path makes, so the batch
-            // rides straight through taken branches and cold lines.
-            let redirect = self.delay_pending.take();
-            let pair = u64::from(a.pc) >> 3;
-            let t_fetch = if redirect.is_some() {
-                self.fetch(u64::from(a.pc), redirect)
-            } else if self.last_fetch_pair != Some(pair) {
-                if self.icache.contains(u64::from(a.pc)) {
-                    self.last_fetch_pair = Some(pair);
-                    self.fetch_bubble = 0;
-                    let hit = self.icache.probe(u64::from(a.pc));
-                    debug_assert!(hit, "residency-checked fetch line must hit");
-                    self.now
-                } else {
-                    self.fetch(u64::from(a.pc), None)
-                }
-            } else {
-                self.fetch_bubble = 0;
-                self.now
-            };
-            // Constraint gathering in issue_pair's exact order — fetch,
-            // sources, ROB, then memory — first-wins on ties.
-            let mut binding = (t_fetch, StallCause::Icache);
-            if bit(tmpl.need_src, j) {
-                for src in a.sources() {
-                    let cand = self.reg_ready(src);
-                    if cand.0 > binding.0 {
-                        binding = cand;
-                    }
-                }
-            }
-            if needs_rob(a.kind) && !self.rob.has_space() {
-                self.rob.drain(self.now);
-                if !self.rob.has_space() {
-                    if let Some(free) = self.rob.next_free_at() {
-                        if free > binding.0 {
-                            binding = (free, StallCause::Structural);
-                        }
-                    }
-                }
-            }
-            if a.kind.is_memory() {
-                if self.dcache_port_free > binding.0 {
-                    binding = (self.dcache_port_free, StallCause::DcacheStoreBufferFull);
-                }
-                self.mshrs.expire(self.now);
-                if !self.mshrs.has_free() && !self.can_merge(a) {
-                    if let Some(free) = self.mshrs.earliest_completion() {
-                        if free > binding.0 {
-                            binding = (free, StallCause::MshrFull);
-                        }
-                    }
-                }
-                if matches!(a.kind, OpKind::FpStore { .. }) {
-                    let free = self.fpu.stq_space_at(self.now);
-                    if free > binding.0 {
-                        binding = (free, StallCause::FpuSyncQueue);
-                    }
-                }
-            }
-            if a.kind.is_fpu() {
-                let free = self.fpu.iq_space_at(self.now);
-                if free > binding.0 {
-                    binding = (free, StallCause::FpuSyncQueue);
-                }
-            }
-            let (t, cause) = binding;
-            if t > self.now {
-                // lint:allow(L002): StallKind indexing is a total
-                // enum-to-array map via Index impl, not a fallible index
-                self.stats.stalls[cause.kind()] += t - self.now;
-            }
-            // advance_to(t), with the MSHR expiry elided for non-memory
-            // groups: expiry is lazy and idempotent, and every MSHR
-            // reader (the memory-constraint block above, the dual check
-            // below, the LSU execute paths) re-expires before reading,
-            // so deferring it cannot change any observable state.
-            if a.kind.is_memory() {
-                self.advance_to(t);
-            } else if self.next_fill_at <= t {
-                self.apply_fills(t);
-            }
-            // Dual partner: the static rules were pre-resolved into
-            // pair_ok; the partner's dynamic checks follow can_dual_issue
-            // in its side-effect order (sources, ROB drain, memory).
-            let mut dual = dual_width && bit(tmpl.pair_ok, j);
-            if dual {
-                let Some(b) = ops.get(j + 1) else {
-                    return Some(j);
-                };
-                if bit(tmpl.need_src, j + 1) && b.sources().any(|s| self.reg_ready(s).0 > t) {
-                    dual = false;
-                }
-                let rob_needed = usize::from(needs_rob(a.kind)) + usize::from(needs_rob(b.kind));
-                if dual && rob_needed > 0 && self.rob.capacity() - self.rob.occupancy() < rob_needed
-                {
-                    self.rob.drain(t);
-                    if self.rob.capacity() - self.rob.occupancy() < rob_needed {
-                        dual = false;
-                    }
-                }
-                if dual && b.kind.is_memory() {
-                    if self.dcache_port_free > t {
-                        dual = false;
-                    } else {
-                        self.mshrs.expire(t);
-                        if (!self.mshrs.has_free() && !self.can_merge(b))
-                            || (matches!(b.kind, OpKind::FpStore { .. })
-                                && self.fpu.stq_space_at(t) > t)
-                        {
-                            dual = false;
-                        }
-                    }
-                }
-                if dual && b.kind.is_fpu() {
-                    // can_dual_issue's two-slot admission check, call
-                    // for call (iq_space_at is re-queried for the
-                    // second slot's margin).
-                    if self.fpu.iq_space_at(t) > t
-                        || (1 + usize::from(a.kind.is_fpu()) == 2 && self.fpu.iq_space_at(t) > t)
-                    {
-                        dual = false;
-                    }
-                }
-            }
-            self.exec_batched(a, t);
-            self.stats.instructions += 1;
-            if dual {
-                if let Some(b) = ops.get(j + 1) {
-                    self.exec_batched(b, t);
-                    self.stats.instructions += 1;
-                    self.stats.dual_issues += 1;
-                }
-            }
-            self.now = t + 1;
-            j += if dual { 2 } else { 1 };
-        }
-        // A break on the very first group (non-resident fetch line at
-        // the entry op) made no progress: report "not taken" so the
-        // caller's generic path services the miss.
-        (j > i).then_some(j)
-    }
-
-    /// Applies a pre-compiled segment schedule ([`SegPlan`]) when none
-    /// of its dynamic preconditions can bind. Under those
-    /// preconditions every group the batched loop would form resolves
-    /// at the fetch lower bound — `t == now` for each group, one cycle
-    /// apart — with the exact grouping the lowering computed:
-    ///
-    /// * every flagged source (live-in or slow in-run producer) ready
-    ///   at entry — stricter than the per-group check at each group's
-    ///   later issue time, so rejection only falls back, never
-    ///   diverges. Flagged readers of *in-stretch* slow results were
-    ///   excluded at lowering time;
-    /// * ROB space for every op up front, after at most one eager
-    ///   drain. Retirement times are fixed by the push sequence and
-    ///   `drain` is idempotent, so draining earlier than the lazy
-    ///   per-group drains is unobservable (peak occupancy is updated
-    ///   inside `try_push` and the push times are identical);
-    /// * for stretches with memory ops, an idle data-cache port and a
-    ///   free MSHR per memory op. In-plan updates keep both
-    ///   non-binding: each memory op holds the port exactly one cycle
-    ///   and the next group issues a cycle later, and allocations
-    ///   cannot exhaust the pre-counted registers (expiry only frees
-    ///   more);
-    /// * every fetch-pair transition lands on a resident line — the
-    ///   per-group walk would probe each exactly once, all hits, and
-    ///   nothing inside a stretch can evict an I-cache line.
-    ///
-    /// Pure-ALU stretches (`dynamic_ops == 0`, no fill due before the
-    /// last group) then apply the pre-summed effects in
-    /// O(registers + lines): `credit_hits` for the probes, one
-    /// scoreboard write per live register, the ROB pushes. Stretches
-    /// with loads, stores or mul/div walk their groups through a
-    /// stripped schedule instead — only the LSU execution and the
-    /// per-cycle fill-arrival check remain; a due fill stops the walk
-    /// at that group boundary, where the state equals the per-group
-    /// loop's, and hands the rest back.
-    ///
-    /// Returns the ops consumed, or `None` when any precondition
-    /// fails and the caller's per-group loop must walk the stretch.
-    fn try_apply_plan(&mut self, plan: &SegPlan, ops: &[TraceOp]) -> Option<usize> {
-        let now = self.now;
-        let entry = usize::from(plan.entry);
-        let entry_pc = ops.get(entry).map_or(0, |op| op.pc);
-        let mut srcs = plan.src_mask & ((1u64 << HILO_BIT) - 1);
-        while srcs != 0 {
-            let r = srcs.trailing_zeros() as usize;
-            srcs &= srcs - 1;
-            if self.int_score.get(r).is_some_and(|s| s.0 > now) {
-                return None;
-            }
-        }
-        if plan.src_mask >> HILO_BIT != 0 && self.hilo.0 > now {
-            return None;
-        }
-        if plan.reads_fpcond && self.fpu.fpcc_ready() > now {
-            return None;
-        }
-        let need = usize::from(plan.consumed);
-        if self.rob.capacity() - self.rob.occupancy() < need {
-            self.rob.drain(now);
-            if self.rob.capacity() - self.rob.occupancy() < need {
-                return None;
-            }
-        }
-        if plan.mem_ops > 0 {
-            if self.dcache_port_free > now {
-                return None;
-            }
-            self.mshrs.expire(now);
-            if self.mshrs.capacity() - self.mshrs.occupancy() < usize::from(plan.mem_ops) {
-                return None;
-            }
-        }
-        let entry_trans = self.last_fetch_pair != Some(u64::from(entry_pc) >> 3);
-        if entry_trans && !self.icache.contains(u64::from(entry_pc)) {
-            return None;
-        }
-        for &pc in &plan.probe_pcs {
-            if !self.icache.contains(u64::from(pc)) {
-                return None;
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.horizon_probe.set(None);
-        if plan.dynamic_ops == 0 {
-            // Bulk apply: every effect is static. Requires no fill due
-            // before the stretch's last group, matching the
-            // `next_fill_at` checks the per-group loop makes at each
-            // of its `groups` cycles.
-            if self.next_fill_at < now + u64::from(plan.groups) {
-                return None;
-            }
-            self.icache
-                .credit_hits(plan.probe_pcs.len() as u64 + u64::from(entry_trans));
-            self.last_fetch_pair = Some(u64::from(plan.final_pair));
-            self.fetch_bubble = 0;
-            for &(reg, g) in &plan.writes {
-                if let Some(slot) = self.int_score.get_mut(usize::from(reg)) {
-                    *slot = (now + u64::from(g) + 1, StallCause::RawDep);
-                }
-            }
-            if let Some(g) = plan.hilo_write {
-                self.hilo = (now + u64::from(g) + 1, StallCause::RawDep);
-            }
-            for &g in &plan.rob_groups {
-                let pushed = self.rob.try_push(now + u64::from(g) + 2);
-                debug_assert!(pushed, "plan pre-checked ROB space for every op");
-            }
-            self.stats.instructions += u64::from(plan.consumed);
-            self.stats.dual_issues += u64::from(plan.duals);
-            self.now = now + u64::from(plan.groups);
-            return Some(usize::from(plan.consumed));
-        }
-        // Group walk with all issue decisions pre-resolved.
-        let mut j = entry;
-        let mut t = now;
-        let mut walked = 0u64;
-        let mut dual_groups = 0u64;
-        for g in 0..usize::from(plan.groups) {
-            if self.next_fill_at <= t {
-                break;
-            }
-            if g == 0 {
-                if entry_trans {
-                    let hit = self.icache.probe(u64::from(entry_pc));
-                    debug_assert!(hit, "plan pre-checked the entry line");
-                    self.last_fetch_pair = Some(u64::from(entry_pc) >> 3);
-                }
-            } else if bit(plan.probe_mask, g) {
-                let pc = ops.get(j).map_or(0, |op| u64::from(op.pc));
-                let hit = self.icache.probe(pc);
-                debug_assert!(hit, "plan pre-checked every transition line");
-                self.last_fetch_pair = Some(pc >> 3);
-            }
-            let Some(a) = ops.get(j) else { break };
-            let dual = bit(plan.dual_mask, g);
-            // The per-group loop expires MSHRs at `t` before executing a
-            // memory op (advance_to for a leader, the dual-partner check
-            // for a partner); allocation-time occupancy — and thus
-            // `peak_occupancy` — depends on it.
-            if a.kind.is_memory() || (dual && ops.get(j + 1).is_some_and(|b| b.kind.is_memory())) {
-                self.mshrs.expire(t);
-            }
-            self.exec_batched(a, t);
-            walked += 1;
-            if dual {
-                if let Some(b) = ops.get(j + 1) {
-                    self.exec_batched(b, t);
-                    walked += 1;
-                    dual_groups += 1;
-                }
-            }
-            j += 1 + usize::from(dual);
-            t += 1;
-        }
-        if j == entry {
-            return None;
-        }
-        self.fetch_bubble = 0;
-        self.stats.instructions += walked;
-        self.stats.dual_issues += dual_groups;
-        self.now = t;
-        Some(j - entry)
-    }
-
-    /// [`execute`](Simulator::feed) for ops inside a batched run: the
-    /// dominant ALU/nop arm is inlined ahead of the full dispatch. The
-    /// delay-slot chain is replicated verbatim — a batch entered right
-    /// behind a taken branch moves the armed redirect into
-    /// `delay_pending` on its first op, exactly as the generic path
-    /// would, and the next group's fetch consumes it.
-    #[inline]
-    fn exec_batched(&mut self, op: &TraceOp, t: u64) {
-        if let Some(r) = self.after_ctl.take() {
-            self.delay_pending = Some(r);
-        }
-        match op.kind {
-            OpKind::IntAlu | OpKind::Nop => {
-                self.write_int(op.dst, t + 1, StallCause::RawDep);
-                self.push_rob(t + 2);
-            }
-            _ => self.execute(op, t),
         }
     }
 
@@ -1609,7 +1180,7 @@ impl<'cfg> Simulator<'cfg> {
 
     // --- Functional warming (SMARTS-style fast-forward) -----------------
 
-    /// Fast-forwards over a captured trace with *functional warming*: ops
+    /// Fast-forwards over captured trace records with *functional warming*: ops
     /// retire at near-emulator speed — no issue constraints, no stall
     /// attribution, no clock movement — while the long-history state that
     /// determines a later window's accuracy keeps updating: I-cache tags
@@ -1625,11 +1196,6 @@ impl<'cfg> Simulator<'cfg> {
     /// as *deltas* of `(cycle, instructions)` around the detailed
     /// region — which is what
     /// [`run_sampled`](crate::sample::run_sampled) does.
-    pub fn warm_packed(&mut self, trace: &PackedTrace) {
-        self.warm_records(trace.records());
-    }
-
-    /// [`Simulator::warm_packed`] over a raw record slice.
     pub fn warm_records(&mut self, ops: &[PackedOp]) {
         // Flush the dual-issue look-ahead through the detailed path so
         // warming starts from a consistent boundary, then drop any armed
@@ -2151,13 +1717,6 @@ fn needs_rob(kind: OpKind) -> bool {
     !kind.is_fpu() && !matches!(kind, OpKind::FpLoad { .. } | OpKind::FpStore { .. })
 }
 
-/// Tests bit `j` of a per-op block bitmask. The shift amount is masked,
-/// so the operation is total (block templates cap at 64 ops).
-#[inline]
-fn bit(mask: u64, j: usize) -> bool {
-    (mask >> (j as u32 & 63)) & 1 != 0
-}
-
 /// Runs a full trace through a fresh simulator.
 pub fn simulate<I>(cfg: &MachineConfig, trace: I) -> SimStats
 where
@@ -2201,9 +1760,7 @@ pub fn replay(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
 /// block-granular engine ([`Simulator::feed_blocks`]) and returns the
 /// run's statistics — bit-identical to [`replay`] on the source trace
 /// and to [`simulate`] on the op stream, only faster: pre-decoded
-/// superinstruction templates replace per-op unpacking, and
-/// scoreboard-only runs execute with per-group work reduced to a few
-/// stores.
+/// block templates replace per-op unpacking.
 ///
 /// ```
 /// use aurora_core::{replay, replay_blocks, IssueWidth, MachineModel};
@@ -2922,7 +2479,7 @@ mod tests {
         let capture = PackedTrace::from_ops(trace.iter().copied());
         let cold = replay(&c, &capture);
         let mut sim = Simulator::new(&c);
-        sim.warm_packed(&capture);
+        sim.warm_records(capture.records());
         sim.mark_warm();
         sim.feed_packed(&capture);
         let warm = sim.finish();

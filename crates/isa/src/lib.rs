@@ -19,9 +19,8 @@
 //! * [`PackedTrace`] — a compact fixed-width trace for capture-once /
 //!   replay-many configuration sweeps, byte-compatible with the binary
 //!   [`write_trace`] / [`read_trace`] on-disk format,
-//! * [`BlockTrace`] — the packed trace lowered to deduplicated
-//!   basic-block superinstructions with pre-resolved footprints, the
-//!   input of the block-granular replay fast path,
+//! * [`BlockTrace`] — the packed trace lowered to deduplicated basic
+//!   blocks of pre-decoded ops, the input of decode-once block replay,
 //! * [`Snapshot`] / [`SnapshotWriter`] / [`SnapshotReader`] — the
 //!   versioned binary checkpoint codec units use to freeze dynamic state
 //!   so a run can be saved, restored and resumed bit-identically,
@@ -74,10 +73,7 @@ mod trace;
 mod trace_io;
 
 pub use asm::{AsmError, Assembler};
-pub use block::{
-    BlockRun, BlockTemplate, BlockTrace, ClassDemand, LatencyClass, SegPlan, BLOCK_FORMAT_VERSION,
-    HILO_BIT, MAX_BLOCK_OPS, MIN_PLAN_OPS,
-};
+pub use block::{BlockTemplate, BlockTrace, BLOCK_FORMAT_VERSION, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;
 pub use emu::{EmuError, Emulator, RunOutcome};

@@ -216,8 +216,14 @@ pub fn load_workspace_cached(
     let cache_hits = done.len();
     let parsed = parse_parallel(&jobs);
     if let Some(c) = cache {
-        for ((rel, _, stamp), (_, analysis)) in jobs.iter().zip(&parsed) {
-            c.insert(rel.clone(), stamp.clone(), analysis.clone());
+        let stamps: std::collections::HashMap<&str, &cache::Stamp> = jobs
+            .iter()
+            .map(|(rel, _, stamp)| (rel.as_str(), stamp))
+            .collect();
+        for (rel, analysis) in &parsed {
+            if let Some(&stamp) = stamps.get(rel.as_str()) {
+                c.insert(rel.clone(), stamp.clone(), analysis.clone());
+            }
         }
     }
     done.extend(parsed);
@@ -243,7 +249,8 @@ pub fn load_workspace_cached(
 }
 
 /// Run [`analyze_source`] over the cache-miss files, fanning out across
-/// threads. Order of the result is irrelevant — the caller sorts by path.
+/// threads. Results arrive in completion order, each tagged with its
+/// path: callers key them by that path, never by position.
 fn parse_parallel(jobs: &[(String, String, cache::Stamp)]) -> Vec<(String, FileAnalysis)> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -136,3 +136,87 @@ fn warm_rerun_is_stable_and_fully_cached() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Number of spoke files in the many-file workspace: enough that a
+/// parallel scan finishes files out of submission order.
+const SPOKES: usize = 16;
+
+/// Writes a hub whose hot root calls one function in each of [`SPOKES`]
+/// spoke files. Spoke `i` opens with a different amount of padding, so
+/// files differ in size (and parse time) and each spoke's allocation
+/// sits on its own line.
+fn write_many_file_workspace(dir: &Path) {
+    std::fs::create_dir_all(dir).expect("create workspace dir");
+    std::fs::write(
+        dir.join("lint.toml"),
+        "exclude = []\n\n[[hot]]\nfile = \"hub.rs\"\nroots = [\"hub_root\"]\n",
+    )
+    .expect("write lint.toml");
+    let calls: String = (0..SPOKES)
+        .map(|i| format!("    total += spoke_{i:02}();\n"))
+        .collect();
+    std::fs::write(
+        dir.join("hub.rs"),
+        format!("pub fn hub_root() -> usize {{\n    let mut total = 0;\n{calls}    total\n}}\n"),
+    )
+    .expect("write hub.rs");
+    for i in 0..SPOKES {
+        let pads = (i * 7) % SPOKES * 12;
+        let mut src: String = (0..pads)
+            .map(|k| format!("fn pad_{i:02}_{k}(x: u64) -> u64 {{\n    x ^ {k}\n}}\n\n"))
+            .collect();
+        src.push_str(&format!(
+            "pub fn spoke_{i:02}() -> usize {{\n    let v: Vec<u64> = Vec::new();\n    v.len()\n}}\n"
+        ));
+        std::fs::write(dir.join(format!("spoke_{i:02}.rs")), src).expect("write spoke");
+    }
+}
+
+/// A cold run (empty cache) and a warm run (every file served from the
+/// cache) over a many-file tree report the same findings. The parallel
+/// scan returns analyses in completion order, so filling the cache by
+/// position would store one file's facts under another file's path and
+/// the warm run would report findings at the wrong files and lines.
+#[test]
+fn cold_and_warm_runs_agree_on_many_files() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("aurora-lint-cache-many-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_many_file_workspace(&dir);
+    let cache_path = dir.join("aurora-lint.cache");
+    let key = cache_key(&std::fs::read_to_string(dir.join("lint.toml")).expect("read toml"));
+    let render = |r: &aurora_lint::Report| {
+        r.findings
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+    };
+
+    let (cold, cache) = run_cached(&dir, &cache_path, key);
+    assert_eq!(cold.cache_hits, 0, "first run must be cold");
+    let cold_findings = render(&cold);
+    for i in 0..SPOKES {
+        let file = format!("spoke_{i:02}.rs");
+        assert!(
+            cold.findings
+                .iter()
+                .any(|f| f.file == file && f.rule == "L001"),
+            "{file} must report its allocation, got:\n{}",
+            cold_findings.join("\n")
+        );
+    }
+    cache.save(&cache_path);
+
+    let (warm, _) = run_cached(&dir, &cache_path, key);
+    assert_eq!(
+        warm.cache_hits,
+        SPOKES + 1,
+        "every file must be served from the cache"
+    );
+    assert_eq!(
+        render(&warm),
+        cold_findings,
+        "warm run must reproduce the cold findings"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

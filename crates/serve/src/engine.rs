@@ -24,8 +24,7 @@ use std::sync::mpsc;
 
 use aurora_bench::harness::drain_cells_timed;
 use aurora_core::{
-    replay, replay_blocks, run_sampled_digest, MachineConfig, SampledStats, SamplingConfig,
-    WarmDigest,
+    replay_blocks, run_sampled_digest, MachineConfig, SampledStats, SamplingConfig, WarmDigest,
 };
 use aurora_isa::{BlockTrace, Fnv1a, PackedTrace};
 use aurora_workloads::{workload_by_name, TraceStore, Workload};
@@ -237,8 +236,7 @@ fn compute_cell(
     sampling: &SamplingConfig,
 ) -> CellValue {
     match mode {
-        Mode::Detailed => CellValue::Exact(replay(cfg, &bundle.packed)),
-        Mode::Block => CellValue::Exact(replay_blocks(
+        Mode::Detailed | Mode::Block => CellValue::Exact(replay_blocks(
             cfg,
             bundle.blocks.as_ref().expect("blocks captured for mode"),
         )),
@@ -264,12 +262,12 @@ fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoE
         .get(workload)
         .map_err(|e| ProtoError(format!("capturing `{}`: {e}", workload.name())))?;
     let blocks = match mode {
-        Mode::Block => Some(
+        Mode::Detailed | Mode::Block => Some(
             store
                 .get_blocks(workload)
                 .map_err(|e| ProtoError(format!("block-lowering `{}`: {e}", workload.name())))?,
         ),
-        _ => None,
+        Mode::Sampled => None,
     };
     let digest = match mode {
         // Every preset uses 32-byte lines (and `line_bytes` is not an

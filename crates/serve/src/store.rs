@@ -65,35 +65,37 @@ const MAX_PAYLOAD: u32 = 1 << 20;
 const TAG_EXACT: u8 = 0x00;
 const TAG_SAMPLED: u8 = 0x01;
 
-/// How a query cell is executed — part of the memo key, since the three
-/// modes return different result shapes (and the sampled estimate is
-/// not bit-comparable to an exact run).
+/// How a query cell is executed. The memo key records the *accuracy*
+/// a mode answers with, not its name: the two exact modes return
+/// bit-identical statistics and share one memo cell, while the sampled
+/// estimate is not bit-comparable to an exact run and keys apart.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
-    /// Per-op detailed replay of the packed trace.
+    /// Exact statistics (the wire name kept from the per-op engine);
+    /// answered exactly like [`Mode::Block`].
     Detailed,
-    /// Basic-block superinstruction replay (bit-identical statistics to
-    /// [`Mode::Detailed`], the fast default).
+    /// Exact statistics through decode-once block replay (the default).
     Block,
     /// SMARTS-style sampled estimate with a confidence interval.
     Sampled,
 }
 
 impl Mode {
-    /// The wire/key byte for this mode.
+    /// The key byte for this mode: one code per memo cell, so both
+    /// exact modes write the block code.
     pub fn code(self) -> u8 {
         match self {
-            Mode::Detailed => 0,
-            Mode::Block => 1,
+            Mode::Detailed | Mode::Block => 1,
             Mode::Sampled => 2,
         }
     }
 
-    /// Decodes a key byte.
+    /// Decodes a key byte. Code 0 — exact results written by the
+    /// retired per-op engine, bit-identical to block replay — decodes
+    /// to the shared exact cell, so older stores stay valid.
     pub fn from_code(code: u8) -> Option<Mode> {
         match code {
-            0 => Some(Mode::Detailed),
-            1 => Some(Mode::Block),
+            0 | 1 => Some(Mode::Block),
             2 => Some(Mode::Sampled),
             _ => None,
         }
@@ -128,9 +130,12 @@ impl Mode {
 /// written by one daemon is valid for any later one built at the same
 /// format versions.
 ///
+/// Keys compare and hash by [`Mode::code`], so a `detailed` and a
+/// `block` key for the same cell are the same key.
+///
 /// [`MachineConfig::fingerprint`]: aurora_core::MachineConfig::fingerprint
 /// [`Workload::trace_hash`]: aurora_workloads::Workload::trace_hash
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy)]
 pub struct CellKey {
     /// Stable fingerprint of the machine configuration (plus sampling
     /// parameters in sampled mode).
@@ -141,7 +146,25 @@ pub struct CellKey {
     pub mode: Mode,
 }
 
+impl PartialEq for CellKey {
+    fn eq(&self, other: &CellKey) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for CellKey {}
+
+impl std::hash::Hash for CellKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
+    }
+}
+
 impl CellKey {
+    fn parts(&self) -> (u64, u64, u8) {
+        (self.config_fp, self.trace_hash, self.mode.code())
+    }
+
     fn shard(&self) -> usize {
         let mut h = Fnv1a::new();
         h.write_u64(self.config_fp);
@@ -459,4 +482,29 @@ fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
         f.sync_all()?;
     }
     fs::rename(&tmp, path)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exact_modes_share_one_key_and_legacy_code_decodes() {
+        let key = |mode| CellKey {
+            config_fp: 7,
+            trace_hash: 9,
+            mode,
+        };
+        assert_eq!(key(Mode::Detailed), key(Mode::Block));
+        assert_ne!(key(Mode::Block), key(Mode::Sampled));
+        assert_eq!(key(Mode::Detailed).shard(), key(Mode::Block).shard());
+        let value = CellValue::Exact(SimStats::default());
+        let mut payload = encode_payload(&key(Mode::Detailed), &value);
+        assert_eq!(payload[16], Mode::Block.code());
+        // A record from when `detailed` keyed its own cells.
+        payload[16] = 0;
+        let (decoded, back) = decode_payload(&payload).expect("legacy exact record decodes");
+        assert_eq!(decoded, key(Mode::Block));
+        assert_eq!(back, value);
+    }
 }

@@ -215,30 +215,42 @@ fn detailed_and_block_modes_agree() {
     ));
     let handle = server::spawn_unix(Arc::clone(&engine), &socket).expect("bind");
 
-    let fingerprint_for = |mode: &str| {
+    // Returns (fingerprint, cells, memo_hits, simulated).
+    let query = |mode: &str| {
         let req = format!(
             r#"{{"configs": [{{"model": "baseline", "issue": "dual"}}],
                  "workloads": ["eqntott"], "scale": "test", "mode": "{mode}"}}"#
         );
         let mut fp = String::new();
+        let mut counts = (0, 0, 0);
         client::query_unix(&socket, &req, |l| {
             let v = Json::parse(l).expect("json");
-            if v.get("type").and_then(Json::as_str) == Some("cell") {
-                fp = v
-                    .get("stats")
-                    .and_then(|s| s.get("fingerprint"))
-                    .and_then(Json::as_str)
-                    .expect("fingerprint")
-                    .to_owned();
+            let count = |k: &str| v.get(k).and_then(Json::as_u64).expect("summary count");
+            match v.get("type").and_then(Json::as_str) {
+                Some("cell") => {
+                    fp = v
+                        .get("stats")
+                        .and_then(|s| s.get("fingerprint"))
+                        .and_then(Json::as_str)
+                        .expect("fingerprint")
+                        .to_owned();
+                }
+                Some("summary") => {
+                    counts = (count("cells"), count("memo_hits"), count("simulated"))
+                }
+                _ => {}
             }
         })
         .expect("query");
-        fp
+        (fp, counts)
     };
-    let block_fp = fingerprint_for("block");
-    let detailed_fp = fingerprint_for("detailed");
+    let (block_fp, (_, _, block_simulated)) = query("block");
+    assert_eq!(block_simulated, 1, "the first exact query simulates");
+    let (detailed_fp, (cells, memo_hits, simulated)) = query("detailed");
     assert_eq!(block_fp, detailed_fp, "modes must agree bit-for-bit");
-    assert_eq!(engine.store().len(), 2, "modes memoise as separate cells");
+    assert_eq!(memo_hits, cells, "detailed is answered from the block cell");
+    assert_eq!(simulated, 0, "detailed must not simulate again");
+    assert_eq!(engine.store().len(), 1, "exact modes share one memo cell");
 
     handle.shutdown();
     let _ = fs::remove_dir_all(&dir);

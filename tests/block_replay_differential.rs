@@ -1,15 +1,15 @@
-//! Differential validation of basic-block superinstruction replay: the
-//! block-granular engine (`replay_blocks`, with its scoreboard-only
-//! fast path) must be *observationally identical* to the per-op packed
-//! walk (`replay`) and to incremental streaming (`simulate`).
+//! Differential validation of basic-block replay: the block-granular
+//! engine (`replay_blocks`, decode-once over deduplicated templates)
+//! must be *observationally identical* to the per-op packed walk
+//! (`replay`) and to incremental streaming (`simulate`).
 //!
 //! Layers of evidence:
 //!
 //! 1. a property test over random short traces — every op kind,
 //!    register shape and address pattern — crossed with all three
-//!    machine models and both issue widths, comparing five engines
-//!    (streaming, packed, block fast path, block with the fast path
-//!    disabled, and block replay under the naive cycle-walking mode),
+//!    machine models and both issue widths, comparing four engines
+//!    (streaming, packed, block replay, and block replay under the
+//!    naive cycle-walking mode),
 //! 2. the full 15-kernel suite replayed block-wise vs per-op,
 //! 3. edge cases: odd-length and single-op traces (the `feed_packed`
 //!    tail-handling regression), all-branch traces (every block is one
@@ -95,7 +95,7 @@ fn config(model: MachineModel, issue: IssueWidth, skip: bool) -> MachineConfig {
     cfg
 }
 
-/// Runs all five engines over `ops` and asserts pairwise bit-equality.
+/// Runs all four engines over `ops` and asserts pairwise bit-equality.
 /// Returns the agreed stats for any further checks.
 fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp]) -> SimStats {
     let trace = PackedTrace::from_ops(ops.iter().copied());
@@ -105,19 +105,15 @@ fn assert_engines_agree(model: MachineModel, issue: IssueWidth, ops: &[TraceOp])
     let cfg = config(model, issue, true);
     let streamed = simulate(&cfg, ops.iter().copied());
     let packed = replay(&cfg, &trace);
-    let block_fast = replay_blocks(&cfg, &blocks);
-    let mut per_op_cfg = cfg.clone();
-    per_op_cfg.block_replay = false;
-    let block_per_op = replay_blocks(&per_op_cfg, &blocks);
+    let block = replay_blocks(&cfg, &blocks);
     let naive_cfg = config(model, issue, false);
     let block_naive = replay_blocks(&naive_cfg, &blocks);
     let streamed_naive = simulate(&naive_cfg, ops.iter().copied());
 
     assert_eq!(packed, streamed, "packed != streamed");
-    assert_eq!(block_fast, streamed, "block fast path != streamed");
-    assert_eq!(block_per_op, streamed, "block per-op walk != streamed");
+    assert_eq!(block, streamed, "block != streamed");
     assert_eq!(block_naive, streamed_naive, "block naive != streamed naive");
-    block_fast
+    block
 }
 
 proptest! {
@@ -138,9 +134,8 @@ proptest! {
         }
     }
 
-    /// ALU-dense traces maximise fast-path coverage (long scoreboard-only
-    /// runs, dense dual-issue pairing) — the adversarial case for the
-    /// superinstruction engine rather than for the fallback.
+    /// ALU-dense traces: long straight-line blocks and dense dual-issue
+    /// pairing, including pairs that straddle block boundaries.
     #[test]
     fn alu_dense_traces_agree(
         seeds in proptest::collection::vec(any::<u64>(), 1..200),
@@ -172,7 +167,7 @@ proptest! {
 }
 
 /// Every kernel in both suites produces bit-identical `SimStats` whether
-/// replayed block-wise (fast path on or off) or op-by-op.
+/// replayed block-wise or op-by-op.
 #[test]
 fn all_kernels_agree_block_vs_per_op() {
     let mut workloads: Vec<Workload> = IntBenchmark::ALL
@@ -194,14 +189,6 @@ fn all_kernels_agree_block_vs_per_op() {
             let per_op = replay(&cfg, &trace);
             let block = replay_blocks(&cfg, &blocks);
             assert_eq!(block, per_op, "{} diverged ({issue:?})", w.name());
-            let mut ref_cfg = cfg.clone();
-            ref_cfg.block_replay = false;
-            assert_eq!(
-                replay_blocks(&ref_cfg, &blocks),
-                per_op,
-                "{} diverged with the fast path disabled ({issue:?})",
-                w.name()
-            );
         }
     }
 }
