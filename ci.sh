@@ -33,6 +33,12 @@ cargo run -q -p aurora-lint -- --fix --dry-run 2>&1 >/dev/null | grep -q "0 edit
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== benchmark probe build (its own cargo workspace, outside --workspace) =="
+# perfbench/probe compiles against the simulator's public API; building
+# it here surfaces an API break before the benchmark runs. Its build
+# output goes under target/, never under perfbench/.
+cargo build --release --locked -q --manifest-path perfbench/probe/Cargo.toml --target-dir target/probe
+
 echo "== tests =="
 cargo test -q --workspace
 

@@ -9,9 +9,12 @@
 
 use std::process::exit;
 
-use aurora_core::{IssueWidth, MachineModel, Simulator, StallKind};
+use aurora_core::{IssueWidth, MachineModel, ObsEventKind, Observer, Simulator, StallKind};
 use aurora_isa::{Assembler, Emulator, RunOutcome};
 use aurora_mem::LatencyModel;
+
+/// Observer ring size for `--timeline`: the most recent events are kept.
+const TIMELINE_EVENTS: usize = 1 << 19;
 
 struct Options {
     path: String,
@@ -107,7 +110,7 @@ fn main() {
         .config(opts.issue, LatencyModel::Fixed(opts.latency));
     let mut sim = Simulator::new(&cfg);
     if opts.timeline {
-        sim.enable_issue_log(100_000);
+        sim.enable_observer(TIMELINE_EVENTS);
     }
     let mut emu = Emulator::new(&program);
     let outcome = emu
@@ -120,25 +123,10 @@ fn main() {
         eprintln!("warning: instruction limit reached before `break`");
     }
 
-    if opts.timeline {
-        println!("{:>8}  {:<10} {:<6} stall", "cycle", "pc", "pair");
-        for r in sim.issue_log() {
-            let stall = match r.stall_cause {
-                Some(c) if r.stall_cycles > 0 => format!("{c} x{}", r.stall_cycles),
-                _ => String::new(),
-            };
-            println!(
-                "{:>8}  {:<10} {:<6} {}",
-                r.cycle,
-                format!("{:#x}", r.pc),
-                if r.dual_with_prev { "<pair" } else { "" },
-                stall
-            );
-        }
-        println!();
+    let (stats, obs) = sim.finish_observed();
+    if let Some(obs) = obs {
+        print_timeline(&obs);
     }
-
-    let stats = sim.finish();
     println!("machine: {cfg}");
     println!("{stats}");
     println!();
@@ -149,4 +137,36 @@ fn main() {
             println!("  {:<10} {v:.3}", kind.label());
         }
     }
+}
+
+/// Prints one row per issued instruction from the observer's event
+/// stream, with the stall regions charged just before it.
+fn print_timeline(obs: &Observer) {
+    if obs.dropped() > 0 {
+        println!("(timeline keeps the last {} events)", obs.capacity());
+    }
+    println!("{:>8}  {:<10} {:<6} stall", "cycle", "pc", "pair");
+    let mut stall = String::new();
+    for ev in obs.events() {
+        match ev.kind {
+            ObsEventKind::Stall { cause, cycles } => {
+                if !stall.is_empty() {
+                    stall.push_str(", ");
+                }
+                stall.push_str(&format!("{cause} x{cycles}"));
+            }
+            ObsEventKind::Issue { pc, dual } => {
+                println!(
+                    "{:>8}  {:<10} {:<6} {}",
+                    ev.cycle,
+                    format!("{pc:#x}"),
+                    if dual { "<pair" } else { "" },
+                    stall
+                );
+                stall.clear();
+            }
+            _ => {}
+        }
+    }
+    println!();
 }

@@ -32,7 +32,7 @@ fn observe(cfg: &aurora_core::MachineConfig, workload: &Workload) -> Cell {
         .get(workload)
         .unwrap_or_else(|e| panic!("{} failed: {e}", workload.name()));
     let mut sim = Simulator::new(cfg);
-    sim.feed_packed(&trace);
+    sim.feed_ops(trace.iter());
     let (stats, obs) = sim.finish_observed();
     Cell {
         name: workload.name(),

@@ -199,7 +199,7 @@ fn book(md: &mut String, scale: Scale) {
         (
             "throughput / overhead numbers",
             "`perf_baseline`",
-            "`perf_baseline -- --scale test`",
+            "`perf_baseline -- --scale test` (`BENCH_sim.json`: `--scale small`)",
             "`BENCH_replay.json`, `BENCH_sim.json`",
             "host-dependent wall-clock; per-op, block and streamed \
              modes asserted bit-identical (every row above replays through the \

@@ -201,12 +201,6 @@ impl Fpu {
         if self.cfg.issue_policy == FpIssuePolicy::InOrderComplete {
             self.prev_completion = self.prev_completion.max(rf_write);
         }
-        #[cfg(feature = "fpu-trace")]
-        if trace_enabled(data_at) {
-            // lint:allow(L013): compiled out unless the opt-in fpu-trace
-            // debugging feature is enabled — never present in a sweep build
-            eprintln!("FPU load data={data_at} admit={admitted} rf={rf_write}");
-        }
         self.ldq.push_back(rf_write);
         if let Some(ArchReg::Fp(n)) = dst {
             if let Some(slot) = self.score.get_mut((n / 2) as usize) {
@@ -322,16 +316,6 @@ impl Fpu {
             self.bus_load.drain(..drop);
             self.bus_base = t;
         }
-        #[cfg(feature = "fpu-trace")]
-        if trace_enabled(now) {
-            // lint:allow(L013): compiled out unless the opt-in fpu-trace
-            // debugging feature is enabled — never present in a sweep build
-            eprintln!(
-                "FPU {:?} now={now} arrive={arrive} src={src_ready} issue={t} done={completion} prevC={}",
-                op.kind, self.prev_completion
-            );
-        }
-
         FpuDispatch {
             issue_at: t,
             result_at: completion + 1,
@@ -491,18 +475,6 @@ impl Snapshot for Fpu {
         self.stats.dual_issues = r.u64()?;
         Ok(())
     }
-}
-
-#[cfg(feature = "fpu-trace")]
-fn trace_enabled(cycle: u64) -> bool {
-    static FROM: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let from = *FROM.get_or_init(|| {
-        std::env::var("FPU_TRACE_FROM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    });
-    cycle >= from
 }
 
 fn unit_of(kind: OpKind) -> Unit {

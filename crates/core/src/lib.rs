@@ -16,7 +16,7 @@
 //!   BIU) coupled to the decoupled FPU,
 //! * [`SimStats`] — CPI plus the stall-cycle breakdown of Figure 6 and
 //!   per-structure statistics for every table in the paper,
-//! * [`run_sampled`] — SMARTS-style sampled simulation: detailed windows
+//! * [`run_sampled_digest`] — SMARTS-style sampled simulation: detailed windows
 //!   over a functional-warming fast-forward ([`Simulator::warm_digest`]),
 //!   CPI estimates with confidence intervals ([`SampledStats`]), and
 //!   whole-machine checkpoints ([`Simulator::save_checkpoint`] /
@@ -65,8 +65,6 @@ pub use config::{
 };
 pub use obs::{Histogram, ObsEvent, ObsEventKind, Observer, StallCause};
 pub use rob::ReorderBuffer;
-pub use sample::{run_sampled, run_sampled_digest, SampledStats};
-pub use sim::{
-    replay, replay_blocks, simulate, simulate_program, IssueRecord, Simulator, WarmDigest,
-};
+pub use sample::{run_sampled_digest, SampledStats};
+pub use sim::{replay, replay_blocks, simulate, simulate_program, Simulator, WarmDigest};
 pub use stats::{SimStats, StallBreakdown, StallKind};

@@ -6,7 +6,7 @@
 //! [`SamplingConfig::interval_ops`] instructions. Within each unit the
 //! simulator:
 //!
-//! 1. **fast-forwards** through [`Simulator::warm_records`]: ops retire at
+//! 1. **fast-forwards** through [`Simulator::warm_digest`]: ops retire at
 //!    near-emulator speed while I-cache tags and pre-decode, D-cache
 //!    tags, write-cache lines and stream-buffer allocation keep evolving,
 //!    so the long-history state a window depends on is warm;
@@ -25,7 +25,7 @@
 //! Traces no longer than one sampling unit run fully detailed and report
 //! the exact CPI with a zero-width interval.
 
-use aurora_isa::{PackedOp, PackedTrace};
+use aurora_isa::PackedOp;
 
 use crate::config::{MachineConfig, SamplingConfig};
 use crate::sim::{Simulator, WarmDigest};
@@ -75,42 +75,24 @@ impl SampledStats {
     }
 }
 
-/// Runs `trace` under `cfg` in sampling mode and returns the CPI
+/// Runs the trace `ops` under `cfg` in sampling mode and returns the CPI
 /// estimate. See the [module docs](self) for the procedure.
+///
+/// The fast-forward is driven by `digest`, a [`WarmDigest`] of `ops`
+/// built once and shared across models and repetitions (it depends only
+/// on the trace and the line granule). A digest built for a different
+/// line size than `cfg.line_bytes` is replaced by a matching one built
+/// here, so the answer never depends on which digest the caller had.
 ///
 /// # Panics
 ///
 /// Panics if `sampling` fails [`SamplingConfig::validate`] (programming
 /// error, mirroring [`Simulator::new`] on an invalid machine config).
-pub fn run_sampled(
-    cfg: &MachineConfig,
-    sampling: &SamplingConfig,
-    trace: &PackedTrace,
-) -> SampledStats {
-    run_sampled_inner(cfg, sampling, trace.records(), None)
-}
-
-/// [`run_sampled`] with the fast-forward driven by a pre-built
-/// [`WarmDigest`] instead of raw record decode, amortizing the trace
-/// scan across models and repetitions (the digest depends only on the
-/// trace and line granule). Falls back to raw-record warming when the
-/// digest's line granule does not match `cfg` — the result is defined
-/// either way, the digest is purely a fast path.
 pub fn run_sampled_digest(
     cfg: &MachineConfig,
     sampling: &SamplingConfig,
     ops: &[PackedOp],
     digest: &WarmDigest,
-) -> SampledStats {
-    let digest = (digest.line_bytes() == cfg.line_bytes).then_some(digest);
-    run_sampled_inner(cfg, sampling, ops, digest)
-}
-
-fn run_sampled_inner(
-    cfg: &MachineConfig,
-    sampling: &SamplingConfig,
-    ops: &[PackedOp],
-    digest: Option<&WarmDigest>,
 ) -> SampledStats {
     sampling
         .validate()
@@ -119,7 +101,7 @@ fn run_sampled_inner(
     let mut sim = Simulator::new(cfg);
     if ops.len() <= unit {
         // Shorter than one sampling unit: the exact run *is* the estimate.
-        sim.feed_records(ops);
+        sim.feed_ops(ops.iter().map(PackedOp::unpack));
         let stats = sim.finish();
         return SampledStats {
             instructions: stats.instructions,
@@ -130,12 +112,18 @@ fn run_sampled_inner(
         };
     }
 
+    let rebuilt;
+    let digest = if digest.line_bytes() == cfg.line_bytes {
+        digest
+    } else {
+        rebuilt = WarmDigest::build(ops, cfg.line_bytes);
+        &rebuilt
+    };
     let detail = sampling.warmup_ops + sampling.window_ops;
     // Free ops around the detailed chunk within one interval.
     let slots = unit - detail;
-    let warm = |sim: &mut Simulator<'_>, lo: usize, hi: usize| match digest {
-        Some(d) => sim.warm_digest(d, lo..hi),
-        None => sim.warm_records(&ops[lo..hi]),
+    let detailed_run = |sim: &mut Simulator<'_>, lo: usize, hi: usize| {
+        sim.feed_ops(ops[lo..hi].iter().map(PackedOp::unpack))
     };
     let mut cpis: Vec<f64> = Vec::with_capacity(ops.len() / unit.max(1) + 1);
     let mut detailed = 0u64;
@@ -151,15 +139,15 @@ fn run_sampled_inner(
         // so runs stay exactly reproducible, while the positions are
         // incommensurate with any workload period.
         let off = ((k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize) % (slots + 1);
-        warm(&mut sim, i, i + off);
-        sim.feed_records(&ops[i + off..i + off + sampling.warmup_ops]);
+        sim.warm_digest(digest, i..i + off);
+        detailed_run(&mut sim, i + off, i + off + sampling.warmup_ops);
         let (c0, n0) = (sim.cycle(), sim.retired_instructions());
-        sim.feed_records(&ops[i + off + sampling.warmup_ops..i + off + detail]);
+        detailed_run(&mut sim, i + off + sampling.warmup_ops, i + off + detail);
         let (c1, n1) = (sim.cycle(), sim.retired_instructions());
         if n1 > n0 {
             cpis.push((c1 - c0) as f64 / (n1 - n0) as f64);
         }
-        warm(&mut sim, i + off + detail, i + unit);
+        sim.warm_digest(digest, i + off + detail..i + unit);
         detailed += detail as u64;
         i += unit;
         k += 1;
@@ -167,7 +155,7 @@ fn run_sampled_inner(
     // The sub-unit tail is warmed, not measured: its share of the
     // estimate comes from the windows, weighted like every other
     // fast-forwarded stretch.
-    warm(&mut sim, i.min(ops.len()), ops.len());
+    sim.warm_digest(digest, i.min(ops.len())..ops.len());
 
     let n = cpis.len();
     let mean = cpis.iter().sum::<f64>() / n.max(1) as f64;
@@ -191,10 +179,20 @@ mod tests {
     use super::*;
     use crate::config::{IssueWidth, MachineModel};
     use crate::sim::replay;
-    use aurora_isa::{ArchReg, MemWidth, OpKind, TraceOp};
+    use aurora_isa::{ArchReg, MemWidth, OpKind, PackedTrace, TraceOp};
     use aurora_mem::LatencyModel;
 
     const BASE: u32 = 0x0040_0000;
+
+    /// Sampled run with a digest built for `cfg`'s line size.
+    fn sampled_run(
+        cfg: &MachineConfig,
+        sampling: &SamplingConfig,
+        trace: &PackedTrace,
+    ) -> SampledStats {
+        let digest = WarmDigest::build(trace.records(), cfg.line_bytes);
+        run_sampled_digest(cfg, sampling, trace.records(), &digest)
+    }
 
     /// A loop-heavy kernel with loads, stores and taken branches whose
     /// working set alternates between two phases. The phase period is
@@ -254,7 +252,7 @@ mod tests {
     fn short_trace_runs_fully_detailed() {
         let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         let trace = phased_trace(1000);
-        let sampled = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let sampled = sampled_run(&cfg, &SamplingConfig::recommended(), &trace);
         let exact = replay(&cfg, &trace);
         assert_eq!(sampled.windows, 1);
         assert_eq!(sampled.ci_half_width, 0.0);
@@ -300,7 +298,7 @@ mod tests {
             }
         }));
         let exact = replay(&cfg, &trace).cpi();
-        let sampled = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let sampled = sampled_run(&cfg, &SamplingConfig::recommended(), &trace);
         let err = (sampled.cpi - exact).abs() / exact;
         assert!(
             err < 0.02,
@@ -330,7 +328,7 @@ mod tests {
             warmup_ops: 256,
             interval_ops: 4096,
         };
-        let sampled = run_sampled(&cfg, &sampling, &trace);
+        let sampled = sampled_run(&cfg, &sampling, &trace);
         let err = (sampled.cpi - exact).abs();
         assert!(
             err < 2.0 * sampled.ci_half_width,
@@ -346,9 +344,23 @@ mod tests {
     fn estimator_is_deterministic() {
         let cfg = MachineModel::Small.config(IssueWidth::Single, LatencyModel::average_35());
         let trace = phased_trace(60_000);
-        let a = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
-        let b = run_sampled(&cfg, &SamplingConfig::recommended(), &trace);
+        let a = sampled_run(&cfg, &SamplingConfig::recommended(), &trace);
+        let b = sampled_run(&cfg, &SamplingConfig::recommended(), &trace);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn digest_of_another_line_size_gives_the_same_answer() {
+        let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::average_17());
+        let trace = phased_trace(60_000);
+        let ops = trace.records();
+        let wrong = WarmDigest::build(ops, cfg.line_bytes * 2);
+        assert_ne!(wrong.line_bytes(), cfg.line_bytes);
+        let sampling = SamplingConfig::recommended();
+        assert_eq!(
+            run_sampled_digest(&cfg, &sampling, ops, &wrong),
+            sampled_run(&cfg, &sampling, &trace)
+        );
     }
 
     #[test]
@@ -360,10 +372,10 @@ mod tests {
             warmup_ops: 0,
             interval_ops: 8,
         };
-        run_sampled(&cfg, &bad, &phased_trace(100));
+        sampled_run(&cfg, &bad, &phased_trace(100));
     }
 
-    /// Manual component-rate benchmark for the fast-forward paths. Run
+    /// Manual component-rate benchmark for the fast-forward path. Run
     /// with:
     ///
     /// ```text
@@ -384,30 +396,23 @@ mod tests {
 
         let mut sim = Simulator::new(&cfg);
         let t = Instant::now();
-        sim.warm_records(ops);
-        let recs = t.elapsed().as_secs_f64();
-
-        let mut sim = Simulator::new(&cfg);
-        let t = Instant::now();
         sim.warm_digest(&digest, 0..ops.len());
         let dig = t.elapsed().as_secs_f64();
 
         let mut sim = Simulator::new(&cfg);
         let t = Instant::now();
-        sim.feed_records(ops);
+        sim.feed_ops(trace.iter());
         let feed = t.elapsed().as_secs_f64();
 
         println!(
             "ops {} events {} ({:.1}%)\n\
              digest build   {:8.1} Mops/s\n\
-             warm_records   {:8.1} Mops/s\n\
              warm_digest    {:8.1} Mops/s ({:.1} Mevents/s)\n\
              feed (detail)  {:8.1} Mops/s",
             ops.len(),
             digest.len(),
             100.0 * digest.len() as f64 / ops.len() as f64,
             rate(ops.len(), build),
-            rate(ops.len(), recs),
             rate(ops.len(), dig),
             rate(digest.len(), dig),
             rate(ops.len(), feed),

@@ -36,7 +36,7 @@
 //! cycle performing maintenance each time; both modes produce bit-equal
 //! [`SimStats`] and the differential suite enforces it.
 
-use std::collections::VecDeque;
+use std::iter;
 use std::ops::Range;
 
 use aurora_isa::{
@@ -75,9 +75,9 @@ const MSHR_HIT_HOLD: u64 = 2;
 /// ×2), so one group never forces more than one mid-group flush even in
 /// the worst case.
 const OBS_BATCH: usize = 24;
-/// Upper bound on the serialized pending-queue blob inside a checkpoint.
-/// The look-ahead queue holds at most one op between public calls, so a
-/// longer blob can only come from a corrupt image.
+/// Upper bound on the serialized look-ahead blob inside a checkpoint.
+/// The look-ahead holds at most one op, so a longer blob can only come
+/// from a corrupt image.
 const PENDING_BLOB_CAP: usize = 4096;
 
 /// A taken control transfer awaiting its post-delay-slot fetch.
@@ -87,29 +87,8 @@ struct Redirect {
     foldable: bool,
 }
 
-/// One instruction as seen by the issue stage — the unit of the optional
-/// issue log (see [`Simulator::enable_issue_log`]), useful for pipeline
-/// visualisation and debugging.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IssueRecord {
-    /// Cycle the instruction issued.
-    pub cycle: u64,
-    /// Its address.
-    pub pc: u32,
-    /// What it was.
-    pub kind: OpKind,
-    /// Whether it issued as the second member of a dual pair.
-    pub dual_with_prev: bool,
-    /// Whole-pipeline stall cycles charged immediately before this issue.
-    pub stall_cycles: u64,
-    /// The binding stall cause when `stall_cycles > 0`, in the
-    /// fine-grained observability taxonomy. The coarse Figure 6 category
-    /// is `cause.kind()`.
-    pub stall_cause: Option<StallCause>,
-}
-
 /// The cycle-level simulator. Feed it a trace with [`Simulator::feed`]
-/// (or use [`simulate`]) and collect [`SimStats`] from
+/// or [`Simulator::feed_ops`] (or use [`simulate`]) and collect [`SimStats`] from
 /// [`Simulator::finish`].
 ///
 /// ```
@@ -155,9 +134,9 @@ pub struct Simulator<'cfg> {
     dstream: StreamStats,
     // Floating point.
     fpu: Fpu,
-    // Issue buffering (one pair of look-ahead for dual issue).
-    pending: VecDeque<TraceOp>,
-    issue_log: Option<(usize, VecDeque<IssueRecord>)>,
+    /// Dual-issue look-ahead: the last op delivered, waiting for its
+    /// pair partner from the next delivery (or from `finish`).
+    pending: Option<TraceOp>,
     /// Fetch bubble charged by the most recent [`Simulator::fetch`] (0 or
     /// 1): lets stall attribution split an ICache-bound stall into its
     /// branch-bubble and miss-service parts without changing the coarse
@@ -218,8 +197,7 @@ impl<'cfg> Simulator<'cfg> {
             istream: StreamStats::default(),
             dstream: StreamStats::default(),
             fpu: Fpu::new(cfg.fpu.clone()),
-            pending: VecDeque::with_capacity(2),
-            issue_log: None,
+            pending: None,
             fetch_bubble: 0,
             obs: cfg
                 .observe
@@ -299,28 +277,6 @@ impl<'cfg> Simulator<'cfg> {
         self.obs.as_deref()
     }
 
-    /// Keeps a rolling log of the most recent `capacity` issued
-    /// instructions (cycle, stall attribution, pairing) for inspection
-    /// with [`Simulator::issue_log`].
-    pub fn enable_issue_log(&mut self, capacity: usize) {
-        self.issue_log = Some((capacity.max(1), VecDeque::with_capacity(capacity.max(1))));
-    }
-
-    /// The rolling issue log, oldest first (empty unless
-    /// [`Simulator::enable_issue_log`] was called).
-    pub fn issue_log(&self) -> impl Iterator<Item = &IssueRecord> {
-        self.issue_log.iter().flat_map(|(_, log)| log.iter())
-    }
-
-    fn log_issue(&mut self, rec: IssueRecord) {
-        if let Some((cap, log)) = self.issue_log.as_mut() {
-            if log.len() == *cap {
-                log.pop_front();
-            }
-            log.push_back(rec);
-        }
-    }
-
     /// The configuration this simulator runs.
     pub fn config(&self) -> &MachineConfig {
         self.cfg
@@ -333,144 +289,60 @@ impl<'cfg> Simulator<'cfg> {
         self.now
     }
 
-    /// Instructions issued so far (the dual-issue look-ahead queue may
-    /// hold one further op that has been fed but not yet issued).
+    /// Instructions issued so far (the dual-issue look-ahead may hold
+    /// one further op that has been fed but not yet issued).
     pub fn retired_instructions(&self) -> u64 {
         self.stats.instructions
     }
 
     /// Feeds one trace op; issues as soon as pairing look-ahead allows.
     pub fn feed(&mut self, op: TraceOp) {
-        self.pending.push_back(op);
-        while self.pending.len() >= 2 {
-            self.issue_group();
-        }
+        self.feed_ops(iter::once(op));
     }
 
-    /// Feeds a whole captured trace, decoding packed records on the fly.
+    /// Feeds a stream of trace ops — the one delivery walk every input
+    /// path shares.
     ///
-    /// This is the replay half of the capture-once / replay-many workflow
-    /// (§4.1): the trace is borrowed, so one capture can drive any number
-    /// of simulators — concurrently, behind an `Arc` — without
-    /// re-emulating the workload or cloning the op buffer.
+    /// Each op is paired with the next one: the pair goes to the issue
+    /// stage together and the partner is consumed when it dual-issues;
+    /// otherwise it becomes the head of the next pair. An op left
+    /// without a partner at the end of the stream is carried to the next
+    /// call (or issues alone at [`Simulator::finish`]), so splitting a
+    /// trace across any number of calls never changes the result.
     ///
-    /// The issue loop runs straight off the packed record slice: the
-    /// pairing look-ahead reads `ops[i + 1]` in place, so the per-op
-    /// queue shuffle [`Simulator::feed`] pays for incremental delivery
-    /// disappears from the replay hot path.
-    pub fn feed_packed(&mut self, trace: &PackedTrace) {
-        self.feed_records(trace.records());
-    }
-
-    /// [`Simulator::feed_packed`] over a raw record slice. The sampling
-    /// driver uses this to run an arbitrary window of a shared capture
-    /// in detail without re-slicing the owning [`PackedTrace`].
-    // lint:allow(L002): every index is bounds-guarded by the explicit
-    // `i + 1 < ops.len()` checks on each loop path; `get()` would add an
-    // unwrap branch per replayed record to the hottest loop in the tree
-    pub fn feed_records(&mut self, ops: &[PackedOp]) {
-        let mut i = 0;
-        // Ops buffered by earlier feed() calls pair with the trace head.
-        while i < ops.len() && !self.pending.is_empty() {
-            self.feed(ops[i].unpack());
-            i += 1;
-        }
-        if i + 1 < ops.len() {
-            // Each record is decoded exactly once: the look-ahead partner
-            // becomes the next head when the pair does not dual-issue.
-            let mut first = ops[i].unpack();
-            loop {
-                let second = ops[i + 1].unpack();
-                if self.issue_pair(&first, Some(&second)) {
-                    // The loop was entered with `i + 1 < len`, so the
-                    // pair path lands `i` on `len` (even tail: both
-                    // consumed, nothing left), `len - 1` (odd tail: one
-                    // unpaired record kept for the next feed), or
-                    // earlier — it can never exceed `len`, and no record
-                    // is ever skipped. The odd/single-record tails are
-                    // pinned by regression tests in the block
-                    // differential suite.
-                    i += 2;
-                    debug_assert!(i <= ops.len());
-                    if i == ops.len() {
-                        return;
-                    }
-                    if i + 1 == ops.len() {
-                        self.pending.push_back(ops[i].unpack());
-                        return;
-                    }
-                    first = ops[i].unpack();
-                } else {
-                    i += 1;
-                    if i + 1 == ops.len() {
-                        self.pending.push_back(second);
-                        return;
-                    }
-                    first = second;
-                }
-            }
-        }
-        if i < ops.len() {
-            // The final op has no pair partner yet; it issues on the next
-            // feed or at finish(), exactly as incremental delivery would.
-            self.pending.push_back(ops[i].unpack());
-        }
-    }
-
-    /// Feeds a lowered [`BlockTrace`], one basic block at a time.
-    ///
-    /// Each dynamic block instance resolves to a pre-decoded template:
-    /// no per-op unpack, and the template pool stays hot in cache while
-    /// replay streams one `u32` id per block. Every op then goes through
-    /// the same [`issue_pair`](Simulator::feed) walk as per-op replay,
-    /// with the block's last op carried into the next block's head, so
-    /// [`SimStats`] are bit-identical to [`Simulator::feed_packed`]
-    /// (asserted by the block differential suite).
-    pub fn feed_blocks(&mut self, blocks: &BlockTrace) {
-        for &tid in blocks.instances() {
-            let Some(tmpl) = blocks.templates().get(tid as usize) else {
-                debug_assert!(false, "block instance {tid} out of range");
-                continue;
+    /// Callers choose only where the ops come from: a packed capture
+    /// ([`PackedTrace::iter`] decodes each record once), a lowered
+    /// [`BlockTrace`] (pre-decoded block templates), or a live stream.
+    /// The source is borrowed, so one capture can drive any number of
+    /// simulators without re-emulating the workload.
+    pub fn feed_ops<I>(&mut self, ops: I)
+    where
+        I: IntoIterator<Item = TraceOp>,
+    {
+        let mut ops = ops.into_iter();
+        let Some(mut first) = self.pending.take().or_else(|| ops.next()) else {
+            return;
+        };
+        loop {
+            let Some(second) = ops.next() else {
+                self.pending = Some(first);
+                return;
             };
-            let ops = blocks.ops_of(tmpl);
-            let mut i = 0usize;
-            // Ops buffered by earlier feed() calls pair among themselves
-            // first (only possible before the first block; block replay
-            // itself carries at most one tail op)...
-            while self.pending.len() >= 2 {
-                self.issue_group();
-            }
-            // ...then the carried tail pairs with the block head through
-            // one direct issue_pair call — the same (first, second)
-            // arguments feed()'s queue would produce, without the
-            // queue's issue-until-dual drain serialising the block.
-            if let Some(&carry) = self.pending.front() {
-                if let Some(&head) = ops.get(i) {
-                    if self.issue_pair(&carry, Some(&head)) {
-                        i += 1;
-                    }
-                    self.pending.pop_front();
+            if self.issue_pair(&first, Some(&second)) {
+                match ops.next() {
+                    Some(next) => first = next,
+                    None => return,
                 }
+            } else {
+                first = second;
             }
-            while i < ops.len() {
-                let Some(first) = ops.get(i) else { break };
-                match ops.get(i + 1) {
-                    Some(second) => {
-                        if self.issue_pair(first, Some(second)) {
-                            i += 2;
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    None => {
-                        // The block's last op may pair with the next
-                        // block's head: defer it through the pending
-                        // queue, exactly like feed_packed's odd tail.
-                        self.pending.push_back(*first);
-                        i += 1;
-                    }
-                }
-            }
+        }
+    }
+
+    /// Issues the carried look-ahead op, if any, without a partner.
+    fn drain_pending(&mut self) {
+        if let Some(op) = self.pending.take() {
+            self.issue_pair(&op, None);
         }
     }
 
@@ -483,9 +355,7 @@ impl<'cfg> Simulator<'cfg> {
     /// [`Observer`] (if any) so callers can inspect the event ring,
     /// per-cause stall attribution and histograms after the run.
     pub fn finish_observed(mut self) -> (SimStats, Option<Observer>) {
-        while !self.pending.is_empty() {
-            self.issue_group();
-        }
+        self.drain_pending();
         let mut stats = self.stats;
         stats.cycles = self
             .now
@@ -504,25 +374,10 @@ impl<'cfg> Simulator<'cfg> {
         (stats, self.obs.take().map(|b| *b))
     }
 
-    /// Issues the next group from the pending queue (one instruction, or
-    /// an aligned dual pair).
-    fn issue_group(&mut self) {
-        let Some(&first) = self.pending.front() else {
-            return;
-        };
-        let second = self.pending.get(1).copied();
-        let consumed_pair = self.issue_pair(&first, second.as_ref());
-        self.pending.pop_front();
-        if consumed_pair {
-            self.pending.pop_front();
-        }
-    }
-
     /// Issues `first` — plus `second` in the same cycle when the
     /// dual-issue rules allow — and returns whether the partner was
-    /// consumed. This is the whole issue stage; callers own op delivery
-    /// (the pending queue for [`Simulator::feed`], the packed record
-    /// slice for [`Simulator::feed_packed`]).
+    /// consumed. This is the whole issue stage; [`Simulator::feed_ops`]
+    /// owns op delivery.
     fn issue_pair(&mut self, first: &TraceOp, second: Option<&TraceOp>) -> bool {
         // Issuing mutates unit state, so any previously probed event
         // horizon is void from here on.
@@ -614,17 +469,6 @@ impl<'cfg> Simulator<'cfg> {
                 },
             );
         }
-        if self.issue_log.is_some() {
-            let stall_cycles = t.saturating_sub(pre_issue_now);
-            self.log_issue(IssueRecord {
-                cycle: t,
-                pc: first.pc,
-                kind: first.kind,
-                dual_with_prev: false,
-                stall_cycles,
-                stall_cause: (stall_cycles > 0).then_some(cause),
-            });
-        }
         if let (true, Some(s)) = (dual, second) {
             self.execute(s, t);
             self.stats.instructions += 1;
@@ -637,16 +481,6 @@ impl<'cfg> Simulator<'cfg> {
                         dual: true,
                     },
                 );
-            }
-            if self.issue_log.is_some() {
-                self.log_issue(IssueRecord {
-                    cycle: t,
-                    pc: s.pc,
-                    kind: s.kind,
-                    dual_with_prev: true,
-                    stall_cycles: 0,
-                    stall_cause: None,
-                });
             }
         }
         // One cold flush per issue group; a single compare when no
@@ -1180,97 +1014,6 @@ impl<'cfg> Simulator<'cfg> {
 
     // --- Functional warming (SMARTS-style fast-forward) -----------------
 
-    /// Fast-forwards over captured trace records with *functional warming*: ops
-    /// retire at near-emulator speed — no issue constraints, no stall
-    /// attribution, no clock movement — while the long-history state that
-    /// determines a later window's accuracy keeps updating: I-cache tags
-    /// and pre-decode, D-cache tags, write-cache lines, and stream-buffer
-    /// allocation. Short-history state (scoreboard, ROB, queues, BIU
-    /// busses) is left untouched; a detailed warm-up window re-fills it
-    /// before measurement starts, exactly as SMARTS prescribes.
-    ///
-    /// Warming advances unit *state* silently: hit/miss/access counters
-    /// do not move (residency checks are the stat-free `contains`
-    /// variants), so statistics keep describing detailed execution
-    /// only. A sampling estimator should nevertheless measure windows
-    /// as *deltas* of `(cycle, instructions)` around the detailed
-    /// region — which is what
-    /// [`run_sampled`](crate::sample::run_sampled) does.
-    pub fn warm_records(&mut self, ops: &[PackedOp]) {
-        // Flush the dual-issue look-ahead through the detailed path so
-        // warming starts from a consistent boundary, then drop any armed
-        // control-transfer redirect: its timing context belongs to the
-        // detailed region being abandoned.
-        while !self.pending.is_empty() {
-            self.issue_group();
-        }
-        self.after_ctl = None;
-        self.delay_pending = None;
-        // Warming never reads register operands: decode only pc + kind
-        // (see `PackedOp::kind_only`). Two one-line memos elide repeated
-        // probes of the line just touched: consecutive probes of one
-        // line are idempotent on tag and LRU state (the first touch
-        // makes it resident and most-recent; repeats change nothing),
-        // so skipping them alters only probe counters — and warming
-        // statistics are pollution the estimator ignores anyway. Each
-        // memo is invalidated the moment a different line (or, for the
-        // data side, any store) could disturb the residency it recalls.
-        let mut warm_iline: Option<LineAddr> = None;
-        let mut warm_dline: Option<LineAddr> = None;
-        for rec in ops {
-            let pc32 = rec.pc();
-            let pc = u64::from(pc32);
-            // I-stream: tag and pre-decode maintenance on pair
-            // transition, mirroring fetch() minus all timing.
-            if self.last_fetch_pair != Some(pc >> 3) {
-                self.last_fetch_pair = Some(pc >> 3);
-                let line = self.icache.geometry().line(pc);
-                if warm_iline != Some(line) {
-                    if !self.icache.contains(pc) {
-                        self.warm_stream(line, true);
-                        self.icache.fill(pc);
-                    }
-                    warm_iline = Some(line);
-                }
-            }
-            match rec.kind_only() {
-                OpKind::Load { ea, width } | OpKind::FpLoad { ea, width } => {
-                    let ea = u64::from(ea);
-                    let line = self.dcache.geometry().line(ea);
-                    if warm_dline != Some(line) {
-                        if !self.write_cache.load_covers(ea, width.bytes())
-                            && !self.dcache.contains(ea)
-                        {
-                            self.warm_stream(line, false);
-                            self.dcache.fill_line(line);
-                        }
-                        warm_dline = Some(line);
-                    }
-                }
-                OpKind::Store { ea, width } | OpKind::FpStore { ea, width } => {
-                    let ea = u64::from(ea);
-                    // The eviction/validation outcome is bus traffic —
-                    // timing state; warming only needs the line
-                    // occupancy to evolve. A write-cache eviction or a
-                    // data-cache fill here may displace whatever the
-                    // load memo recalls, so drop it.
-                    self.write_cache.warm_store(ea, width.bytes());
-                    if !self.dcache.contains(ea) {
-                        self.dcache.fill(ea);
-                    }
-                    warm_dline = None;
-                }
-                OpKind::Branch { target, .. } => {
-                    self.record_ctl_pair(pc32, Some(u64::from(target)));
-                }
-                OpKind::Jump { target, register } => {
-                    self.record_ctl_pair(pc32, (!register).then_some(u64::from(target)));
-                }
-                _ => {}
-            }
-        }
-    }
-
     /// Stream-buffer maintenance for a warmed miss: the same probe /
     /// deepen / allocate sequence [`Simulator::service_miss`] performs,
     /// with zero-cycle issue callbacks in place of BIU requests so the
@@ -1310,35 +1053,46 @@ impl<'cfg> Simulator<'cfg> {
     }
 
     /// Fast-forwards over the ops at `range` of the trace a
-    /// [`WarmDigest`] was built from. Semantically this is
-    /// [`Simulator::warm_records`] over the same slice — the digest just
-    /// pre-extracts the events warming reacts to (cache-line
-    /// transitions, memory references, control transfers) so the
-    /// per-op decode and same-line skip checks are paid once per trace
-    /// instead of once per model × sampling pass.
+    /// [`WarmDigest`] was built from, with *functional warming*: ops
+    /// retire at near-emulator speed — no issue constraints, no stall
+    /// attribution, no clock movement — while the long-history state that
+    /// determines a later window's accuracy keeps updating: I-cache tags
+    /// and pre-decode, D-cache tags, write-cache lines, and stream-buffer
+    /// allocation. Short-history state (scoreboard, ROB, queues, BIU
+    /// busses) is left untouched; a detailed warm-up window re-fills it
+    /// before measurement starts, exactly as SMARTS prescribes.
+    ///
+    /// The digest pre-extracts the events warming reacts to (cache-line
+    /// transitions, memory references, control transfers), so the
+    /// per-op decode is paid once per trace instead of once per model ×
+    /// sampling pass. The fetch-pair tracker advances per line
+    /// transition, so the first detailed fetch after warming may
+    /// re-probe a pair that is already resident — a deterministic
+    /// perturbation the detailed warm-up absorbs.
+    ///
+    /// Warming advances unit *state* silently: hit/miss/access counters
+    /// do not move (residency checks are the stat-free `contains`
+    /// variants), so statistics keep describing detailed execution
+    /// only. A sampling estimator should nevertheless measure windows
+    /// as *deltas* of `(cycle, instructions)` around the detailed
+    /// region — which is what [`run_sampled_digest`] does.
     ///
     /// The caller must build the digest with this machine's line size
-    /// ([`WarmDigest::line_bytes`]); [`run_sampled`] falls back to
-    /// [`Simulator::warm_records`] when the geometry disagrees.
+    /// ([`WarmDigest::line_bytes`]); [`run_sampled_digest`] builds a
+    /// matching one when the geometry disagrees.
     ///
-    /// One deliberate divergence from `warm_records`: the fetch-pair
-    /// tracker advances per line transition rather than per pair, so it
-    /// may lag within the final line of the range. The first detailed
-    /// fetch after warming then re-probes a pair that was already
-    /// resident — a deterministic, warm-up-absorbed perturbation —
-    /// while tags, pre-decode, write cache and stream allocation state
-    /// evolve identically.
-    ///
-    /// [`run_sampled`]: crate::sample::run_sampled
+    /// [`run_sampled_digest`]: crate::sample::run_sampled_digest
     pub fn warm_digest(&mut self, digest: &WarmDigest, range: Range<usize>) {
         debug_assert_eq!(
             digest.line_bytes(),
             self.icache.geometry().line_bytes(),
             "digest line granule must match the machine's line size",
         );
-        while !self.pending.is_empty() {
-            self.issue_group();
-        }
+        // Flush the dual-issue look-ahead through the detailed path so
+        // warming starts from a consistent boundary, then drop any armed
+        // control-transfer redirect: its timing context belongs to the
+        // detailed region being abandoned.
+        self.drain_pending();
         self.after_ctl = None;
         self.delay_pending = None;
         let mut warm_dline: Option<LineAddr> = None;
@@ -1392,12 +1146,12 @@ impl<'cfg> Simulator<'cfg> {
 
     /// Serializes the complete machine state — clock, front end,
     /// scoreboard, ROB, every memory-system unit (tags, MSHRs, stream
-    /// buffers, write cache, BIU busses and RNG), the FPU, the pending
-    /// look-ahead queue and all statistics — into a versioned binary
+    /// buffers, write cache, BIU busses and RNG), the FPU, the dual-issue
+    /// look-ahead op and all statistics — into a versioned binary
     /// image. Restoring it into a simulator built from the *same*
     /// [`MachineConfig`] and resuming produces bit-identical [`SimStats`]
     /// to the uninterrupted run (enforced by the checkpoint differential
-    /// suite). Diagnostics (observer ring, issue log) are not captured.
+    /// suite). Diagnostics (the observer ring) are not captured.
     pub fn save_checkpoint(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.section(*b"SIM_");
@@ -1431,9 +1185,9 @@ impl<'cfg> Simulator<'cfg> {
         self.istream.save(&mut w);
         self.dstream.save(&mut w);
         self.fpu.save(&mut w);
-        // The ≤1-op look-ahead queue rides along as an embedded packed
-        // trace, reusing its validated codec.
-        let queue = PackedTrace::from_ops(self.pending.iter().copied());
+        // The ≤1-op look-ahead rides along as an embedded packed trace,
+        // reusing its validated codec.
+        let queue = PackedTrace::from_ops(self.pending);
         let mut blob = Vec::new();
         let wrote = queue.write_to(&mut blob);
         debug_assert!(wrote.is_ok(), "writing to a Vec cannot fail");
@@ -1496,13 +1250,10 @@ impl<'cfg> Simulator<'cfg> {
         let blob = r.bytes(blob_len)?;
         let queue = PackedTrace::read_from(&mut &blob[..])
             .map_err(|_| SnapshotError::Corrupt("pending-queue trace blob"))?;
-        if queue.records().len() > 2 {
+        if queue.len() > 1 {
             return Err(SnapshotError::Corrupt("pending queue too long"));
         }
-        self.pending.clear();
-        for rec in queue.records() {
-            self.pending.push_back(rec.unpack());
-        }
+        self.pending = queue.get(0);
         self.fetch_bubble = r.u64()?;
         self.warm_cycle_offset = r.u64()?;
         self.stats.restore(&mut r)?;
@@ -1547,10 +1298,10 @@ struct WarmEvent {
 /// to, pre-extracted once so every warm pass skips the ops that cannot
 /// change warm state.
 ///
-/// Warming over raw records ([`Simulator::warm_records`]) decodes every
-/// op only to ignore most of them: ALU and FP arithmetic touch no warm
-/// state, and instruction-side probes collapse to one per cache-line
-/// transition. A digest walks the trace once, keeps only line
+/// Most ops touch no warm state — ALU and FP arithmetic are ignored,
+/// and instruction-side probes collapse to one per cache-line
+/// transition — so decoding every op on every warm pass is waste. A
+/// digest walks the trace once, keeps only line
 /// transitions, memory references and control transfers — each stamped
 /// with its op index — and [`Simulator::warm_digest`] then replays an
 /// arbitrary index range by binary-searching the event list. The digest
@@ -1723,9 +1474,7 @@ where
     I: IntoIterator<Item = TraceOp>,
 {
     let mut sim = Simulator::new(cfg);
-    for op in trace {
-        sim.feed(op);
-    }
+    sim.feed_ops(trace);
     sim.finish()
 }
 
@@ -1752,14 +1501,14 @@ where
 /// ```
 pub fn replay(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
     let mut sim = Simulator::new(cfg);
-    sim.feed_packed(trace);
+    sim.feed_ops(trace.iter());
     sim.finish()
 }
 
-/// Replays a lowered [`BlockTrace`] against `cfg` through the
-/// block-granular engine ([`Simulator::feed_blocks`]) and returns the
-/// run's statistics — bit-identical to [`replay`] on the source trace
-/// and to [`simulate`] on the op stream, only faster: pre-decoded
+/// Replays a lowered [`BlockTrace`] against `cfg` and returns the run's
+/// statistics — bit-identical to [`replay`] on the source trace and to
+/// [`simulate`] on the op stream. The ops go through the same
+/// [`Simulator::feed_ops`] walk; only their source differs: pre-decoded
 /// block templates replace per-op unpacking.
 ///
 /// ```
@@ -1777,7 +1526,7 @@ pub fn replay(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
 /// ```
 pub fn replay_blocks(cfg: &MachineConfig, blocks: &BlockTrace) -> SimStats {
     let mut sim = Simulator::new(cfg);
-    sim.feed_blocks(blocks);
+    sim.feed_ops(blocks.iter());
     sim.finish()
 }
 
@@ -2200,29 +1949,37 @@ mod tests {
     }
 
     #[test]
-    fn issue_log_records_pairing_and_stalls() {
+    fn observer_records_pairing_and_stalls() {
         let cfg = cfg(MachineModel::Baseline, IssueWidth::Dual);
         let mut sim = Simulator::new(&cfg);
-        sim.enable_issue_log(64);
+        sim.enable_observer(256);
         // Independent pair, then a load and its immediate consumer.
         sim.feed(alu(BASE, 8, 9));
         sim.feed(alu(BASE + 4, 10, 11));
         sim.feed(load(BASE + 8, 12, 0x2000));
         sim.feed(alu(BASE + 12, 13, 12));
         sim.feed(alu(BASE + 16, 14, 14));
-        let records: Vec<IssueRecord> = {
-            // finish() consumes; collect the log before.
-            sim.issue_log().copied().collect()
-        };
-        let stats = sim.finish();
+        let (stats, obs) = sim.finish_observed();
+        let obs = obs.expect("observer was enabled");
+        assert_eq!(obs.dropped(), 0);
         assert_eq!(stats.instructions, 5);
+        let issues: Vec<(u64, bool)> = obs
+            .events()
+            .filter_map(|e| match e.kind {
+                ObsEventKind::Issue { dual, .. } => Some((e.cycle, dual)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issues.len(), 5);
         assert!(
-            records.iter().any(|r| r.dual_with_prev),
+            issues.iter().any(|&(_, dual)| dual),
             "pair should dual issue"
         );
-        // At least one record carries a stall (icache cold miss or load use).
-        assert!(records.iter().any(|r| r.stall_cycles > 0));
-        assert!(records.windows(2).all(|w| w[0].cycle <= w[1].cycle));
+        // At least one stall region (icache cold miss or load use).
+        assert!(obs
+            .events()
+            .any(|e| matches!(e.kind, ObsEventKind::Stall { cycles, .. } if cycles > 0)));
+        assert!(issues.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
@@ -2471,6 +2228,35 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_rejects_a_look_ahead_of_two_ops() {
+        let c = cfg(MachineModel::Baseline, IssueWidth::Dual);
+        let op = alu(BASE, 8, 9);
+        let mut sim = Simulator::new(&c);
+        sim.feed(op);
+        let image = sim.save_checkpoint();
+        assert!(Simulator::new(&c).restore_checkpoint(&image).is_ok());
+        // Splice a two-op look-ahead blob over the one-op blob.
+        let blob = |n: usize| {
+            let mut out = Vec::new();
+            PackedTrace::from_ops(iter::repeat_n(op, n))
+                .write_to(&mut out)
+                .expect("write to a Vec");
+            let mut framed = (out.len() as u64).to_le_bytes().to_vec();
+            framed.extend_from_slice(&out);
+            framed
+        };
+        let (one, two) = (blob(1), blob(2));
+        let at = image
+            .windows(one.len())
+            .rposition(|w| w == one.as_slice())
+            .expect("look-ahead blob in image");
+        let mut bad = image[..at].to_vec();
+        bad.extend_from_slice(&two);
+        bad.extend_from_slice(&image[at + one.len()..]);
+        assert!(Simulator::new(&c).restore_checkpoint(&bad).is_err());
+    }
+
+    #[test]
     fn functional_warming_fills_tags_without_detailed_cost() {
         let c = cfg(MachineModel::Baseline, IssueWidth::Single);
         let trace: Vec<TraceOp> = (0..256u32)
@@ -2478,10 +2264,11 @@ mod tests {
             .collect();
         let capture = PackedTrace::from_ops(trace.iter().copied());
         let cold = replay(&c, &capture);
+        let digest = WarmDigest::build(capture.records(), c.line_bytes);
         let mut sim = Simulator::new(&c);
-        sim.warm_records(capture.records());
+        sim.warm_digest(&digest, 0..capture.len());
         sim.mark_warm();
-        sim.feed_packed(&capture);
+        sim.feed_ops(capture.iter());
         let warm = sim.finish();
         assert_eq!(warm.instructions, cold.instructions);
         assert!(

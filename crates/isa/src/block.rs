@@ -94,23 +94,11 @@ pub const MAX_BLOCK_OPS: usize = 64;
 
 /// One deduplicated static block: an op range into the shared pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockTemplate {
+struct BlockTemplate {
     /// First op index in the [`BlockTrace`] pool.
     start: u32,
     /// Number of ops (1 ..= [`MAX_BLOCK_OPS`]).
     len: u16,
-}
-
-impl BlockTemplate {
-    /// Number of ops in the block.
-    pub fn len(&self) -> usize {
-        usize::from(self.len)
-    }
-
-    /// Whether the block is empty (never true for stored templates).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
 }
 
 /// A dynamic trace lowered to deduplicated basic blocks.
@@ -129,9 +117,9 @@ impl BlockTemplate {
 /// // Two iterations of the same loop body...
 /// let trace: PackedTrace = body.iter().chain(body.iter()).copied().collect();
 /// let blocks = BlockTrace::lower(&trace);
-/// // ...lower to ONE static template replayed twice.
-/// assert_eq!(blocks.templates().len(), 1);
-/// assert_eq!(blocks.instances(), &[0, 0]);
+/// // ...lower to ONE static template of three ops, replayed twice.
+/// assert_eq!(blocks.static_ops(), 3);
+/// assert_eq!(blocks.len(), 6);
 /// assert_eq!(blocks.iter().count(), 6);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -192,24 +180,6 @@ impl BlockTrace {
         self.seq.push(id);
     }
 
-    /// The deduplicated static templates.
-    pub fn templates(&self) -> &[BlockTemplate] {
-        &self.templates
-    }
-
-    /// One template id per dynamic block instance, in trace order.
-    pub fn instances(&self) -> &[u32] {
-        &self.seq
-    }
-
-    /// The pre-decoded ops of `tmpl` (a slice into the shared pool).
-    pub fn ops_of(&self, tmpl: &BlockTemplate) -> &[TraceOp] {
-        let start = tmpl.start as usize;
-        self.pool
-            .get(start..start.saturating_add(usize::from(tmpl.len)))
-            .unwrap_or(&[])
-    }
-
     /// Total dynamic instruction count (equals the source trace length).
     pub fn len(&self) -> u64 {
         self.total_ops
@@ -241,12 +211,17 @@ impl BlockTrace {
     }
 
     /// Iterates over the dynamic op stream the lowering encodes —
-    /// exactly the ops of the source trace, in order.
+    /// exactly the ops of the source trace, in order. Each op is copied
+    /// out of its pre-decoded template, so nothing is unpacked: this is
+    /// the op source of decode-once block replay.
     pub fn iter(&self) -> impl Iterator<Item = TraceOp> + '_ {
-        self.seq
-            .iter()
-            .filter_map(|&id| self.templates.get(id as usize))
-            .flat_map(|t| self.ops_of(t).iter().copied())
+        self.seq.iter().flat_map(move |&id| {
+            let ops = self.templates.get(id as usize).and_then(|t| {
+                let start = t.start as usize;
+                self.pool.get(start..start + usize::from(t.len))
+            });
+            ops.unwrap_or_default().iter().copied()
+        })
     }
 }
 
@@ -477,8 +452,8 @@ mod tests {
             .copied()
             .collect();
         let b = BlockTrace::lower_ops(ops.iter().copied());
-        assert_eq!(b.templates().len(), 1);
-        assert_eq!(b.instances(), &[0, 0, 0]);
+        assert_eq!(b.templates.len(), 1);
+        assert_eq!(b.seq, [0, 0, 0]);
         assert_eq!(b.len(), 9);
         assert_eq!(b.static_ops(), 3);
         assert!((b.reuse_factor() - 3.0).abs() < 1e-9);
@@ -490,8 +465,11 @@ mod tests {
     fn long_straight_line_splits_at_cap() {
         let ops: Vec<TraceOp> = (0..150u32).map(|i| alu(4 * i, 1, 2)).collect();
         let b = BlockTrace::lower_ops(ops.iter().copied());
-        assert_eq!(b.instances().len(), 3); // 64 + 64 + 22
-        assert!(b.templates().iter().all(|t| t.len() <= MAX_BLOCK_OPS));
+        assert_eq!(b.seq.len(), 3); // 64 + 64 + 22
+        assert!(b
+            .templates
+            .iter()
+            .all(|t| usize::from(t.len) <= MAX_BLOCK_OPS));
         let replayed: Vec<TraceOp> = b.iter().collect();
         assert_eq!(replayed, ops);
     }
@@ -500,7 +478,7 @@ mod tests {
     fn trailing_partial_block_is_kept() {
         let ops = [alu(0, 1, 2), branch(4, false), alu(8, 3, 4), alu(12, 5, 3)];
         let b = BlockTrace::lower_ops(ops.iter().copied());
-        assert_eq!(b.instances().len(), 2);
+        assert_eq!(b.seq.len(), 2);
         assert_eq!(b.len(), 4);
         let replayed: Vec<TraceOp> = b.iter().collect();
         assert_eq!(replayed, ops.to_vec());
@@ -510,8 +488,8 @@ mod tests {
     fn empty_trace_lowers_to_nothing() {
         let b = BlockTrace::lower_ops(std::iter::empty());
         assert!(b.is_empty());
-        assert_eq!(b.templates().len(), 0);
-        assert_eq!(b.instances().len(), 0);
+        assert_eq!(b.templates.len(), 0);
+        assert_eq!(b.seq.len(), 0);
         assert_eq!(b.iter().count(), 0);
         assert_eq!(b.reuse_factor(), 0.0);
     }
@@ -586,7 +564,7 @@ mod tests {
         // First instance id (after magic+version+total+stats, the
         // template-count word and one length per template, and the
         // sequence count) pointed at a nonexistent template.
-        let seq_start = 8 + 4 + 8 + 8 * TRACE_STAT_WORDS + 4 + 4 * b.templates().len() + 4;
+        let seq_start = 8 + 4 + 8 + 8 * TRACE_STAT_WORDS + 4 + 4 * b.templates.len() + 4;
         let mut bad_id = buf.clone();
         bad_id[seq_start..seq_start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(BlockTrace::read_from(&bad_id[..]).is_err());

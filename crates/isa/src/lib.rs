@@ -73,7 +73,7 @@ mod trace;
 mod trace_io;
 
 pub use asm::{AsmError, Assembler};
-pub use block::{BlockTemplate, BlockTrace, BLOCK_FORMAT_VERSION, MAX_BLOCK_OPS};
+pub use block::{BlockTrace, BLOCK_FORMAT_VERSION, MAX_BLOCK_OPS};
 pub use builder::ProgramBuilder;
 pub use codec::TRACE_FORMAT_VERSION;
 pub use emu::{EmuError, Emulator, RunOutcome};

@@ -953,7 +953,7 @@ pub const RULES: &[(&str, &str, &str)] = &[
          `format!`, `vec!`, stable sorts, heap collections (HashMap & friends) and \
          `Vec::new`-style constructors are banned inside the hot set. The hot set is computed \
          *transitively*: lint.toml's [[hot]] sections declare only the roots (e.g. \
-         `Simulator::feed_packed`), and every workspace function reachable from them through \
+         `Simulator::feed_ops`), and every workspace function reachable from them through \
          the call graph — including methods reached through field chains, `Index` impls \
          reached through `[]`, and calls made inside closures — inherits the constraint. Each \
          diagnostic names the call chain that made the function hot. Amortized growth of \

@@ -360,14 +360,6 @@ pub fn deep_phase(ws: &mut Workspace, cfg: &LintConfig, cache: Option<&mut Cache
                 // globally would poison call sites with clean arguments.
                 let ret_untrusted =
                     out.ret & ROOT_BIT != 0 || (roots.contains(&id) && out.ret & live != 0);
-                if ret_untrusted && std::env::var("LINT_TAINT_DEBUG").is_ok() {
-                    eprintln!(
-                        "RET_UNTRUSTED {}:{} tmask={:#x}",
-                        ws.files[id.0].0,
-                        ws.files[id.0].1.fns[id.1].qual_name(),
-                        tmask
-                    );
-                }
                 if ret_untrusted && st.ret_untrusted.insert(id) {
                     if let Some(cs) = callers.get(&id) {
                         for &c in cs {

@@ -271,8 +271,8 @@ fn capture_bundle(workload: &Workload, mode: Mode) -> Result<TraceBundle, ProtoE
     };
     let digest = match mode {
         // Every preset uses 32-byte lines (and `line_bytes` is not an
-        // override knob); `run_sampled_digest` falls back to raw-record
-        // warming if a future config disagrees.
+        // override knob); `run_sampled_digest` builds a matching digest
+        // if a future config disagrees.
         Mode::Sampled => Some(WarmDigest::build(packed.records(), 32)),
         _ => None,
     };

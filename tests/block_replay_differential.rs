@@ -11,9 +11,9 @@
 //!    (streaming, packed, block replay, and block replay under the
 //!    naive cycle-walking mode),
 //! 2. the full 15-kernel suite replayed block-wise vs per-op,
-//! 3. edge cases: odd-length and single-op traces (the `feed_packed`
-//!    tail-handling regression), all-branch traces (every block is one
-//!    op), and mixed incremental-feed + block-feed delivery.
+//! 3. edge cases: odd-length and single-op traces (the carried
+//!    look-ahead tail), all-branch traces (every block is one op), and
+//!    one trace delivered at random splits through every input form.
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
@@ -193,7 +193,7 @@ fn all_kernels_agree_block_vs_per_op() {
     }
 }
 
-/// The `feed_packed` tail regression (and its block-engine twin): every
+/// The carried look-ahead tail regression, for every engine: every
 /// trace length from empty through several pair cycles must deliver
 /// every op exactly once, whichever exit the pair/non-pair paths take.
 #[test]
@@ -255,26 +255,49 @@ fn all_branch_traces_agree() {
     }
 }
 
-/// Incremental `feed` followed by `feed_blocks` must interleave exactly
-/// like one continuous stream: the pending look-ahead op pairs with the
-/// first block's head.
+/// One trace cut into random-length pieces, each delivered through a
+/// randomly chosen input form — incremental `feed`, `feed_ops` over a
+/// packed capture, `feed_ops` over a block lowering, or a live op stream
+/// behind an empty `feed_ops` — must equal one `replay`: the carried
+/// look-ahead op pairs across every delivery boundary.
 #[test]
 fn mixed_feed_and_block_delivery_agree() {
-    let ops: Vec<TraceOp> = (0..40usize)
+    let ops: Vec<TraceOp> = (0..160usize)
         .map(|i| op_from(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1), i))
         .collect();
-    for split in [1usize, 3, 7, 39] {
+    let trace = PackedTrace::from_ops(ops.iter().copied());
+    // xorshift64: deterministic splits, different on every round.
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut draw = |bound: usize| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % bound as u64) as usize
+    };
+    for round in 0..24 {
         for issue in [IssueWidth::Single, IssueWidth::Dual] {
             let cfg = config(MachineModel::Baseline, issue, true);
-            let whole = simulate(&cfg, ops.iter().copied());
-
             let mut sim = Simulator::new(&cfg);
-            for op in &ops[..split] {
-                sim.feed(*op);
+            let mut at = 0;
+            while at < ops.len() {
+                let end = (at + 1 + draw(12)).min(ops.len());
+                let piece = &ops[at..end];
+                match draw(4) {
+                    0 => piece.iter().for_each(|&op| sim.feed(op)),
+                    1 => sim.feed_ops(PackedTrace::from_ops(piece.iter().copied()).iter()),
+                    2 => sim.feed_ops(BlockTrace::lower_ops(piece.iter().copied()).iter()),
+                    _ => {
+                        sim.feed_ops(std::iter::empty());
+                        sim.feed_ops(piece.iter().copied());
+                    }
+                }
+                at = end;
             }
-            let tail = BlockTrace::lower_ops(ops[split..].iter().copied());
-            sim.feed_blocks(&tail);
-            assert_eq!(sim.finish(), whole, "split {split} diverged ({issue:?})");
+            assert_eq!(
+                sim.finish(),
+                replay(&cfg, &trace),
+                "round {round} diverged ({issue:?})"
+            );
         }
     }
 }

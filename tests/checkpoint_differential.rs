@@ -18,8 +18,8 @@
 //!
 //! Equality is `SimStats: Eq` — bit-identical counters, not tolerances.
 
-use aurora3::core::{IssueWidth, MachineConfig, MachineModel, SimStats, Simulator};
-use aurora3::isa::{ArchReg, MemWidth, OpKind, PackedTrace, TraceOp};
+use aurora3::core::{IssueWidth, MachineConfig, MachineModel, SimStats, Simulator, WarmDigest};
+use aurora3::isa::{ArchReg, MemWidth, OpKind, PackedOp, PackedTrace, TraceOp};
 use aurora3::mem::LatencyModel;
 use proptest::prelude::*;
 
@@ -91,10 +91,15 @@ fn trace_from(seeds: &[u64]) -> PackedTrace {
     PackedTrace::from_ops(seeds.iter().enumerate().map(|(i, &s)| op_from(s, i)))
 }
 
+/// Feeds a slice of packed records through the detailed model.
+fn feed(sim: &mut Simulator<'_>, ops: &[PackedOp]) {
+    sim.feed_ops(ops.iter().map(PackedOp::unpack));
+}
+
 /// Feeds the whole trace without interruption.
 fn uninterrupted(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
     let mut sim = Simulator::new(cfg);
-    sim.feed_records(trace.records());
+    sim.feed_ops(trace.iter());
     sim.finish()
 }
 
@@ -103,13 +108,13 @@ fn uninterrupted(cfg: &MachineConfig, trace: &PackedTrace) -> SimStats {
 fn resumed(cfg: &MachineConfig, trace: &PackedTrace, split: usize) -> SimStats {
     let ops = trace.records();
     let mut sim = Simulator::new(cfg);
-    sim.feed_records(&ops[..split]);
+    feed(&mut sim, &ops[..split]);
     let image = sim.save_checkpoint();
     drop(sim);
 
     let mut sim = Simulator::new(cfg);
     sim.restore_checkpoint(&image).expect("restore own image");
-    sim.feed_records(&ops[split..]);
+    feed(&mut sim, &ops[split..]);
     sim.finish()
 }
 
@@ -155,21 +160,22 @@ proptest! {
         let b = a + (cuts >> 16) as usize % (ops.len() - a + 1);
         let cfg = MachineModel::Baseline
             .config(IssueWidth::Dual, LatencyModel::Uniform { lo: 9, hi: 25 });
+        let digest = WarmDigest::build(ops, cfg.line_bytes);
 
         let mut sim = Simulator::new(&cfg);
-        sim.feed_records(&ops[..a]);
-        sim.warm_records(&ops[a..b]);
-        sim.feed_records(&ops[b..]);
+        feed(&mut sim, &ops[..a]);
+        sim.warm_digest(&digest, a..b);
+        feed(&mut sim, &ops[b..]);
         let full = sim.finish();
 
         let mut sim = Simulator::new(&cfg);
-        sim.feed_records(&ops[..a]);
-        sim.warm_records(&ops[a..b]);
+        feed(&mut sim, &ops[..a]);
+        sim.warm_digest(&digest, a..b);
         let image = sim.save_checkpoint();
         drop(sim);
         let mut sim = Simulator::new(&cfg);
         sim.restore_checkpoint(&image).expect("restore own image");
-        sim.feed_records(&ops[b..]);
+        feed(&mut sim, &ops[b..]);
         let cut = sim.finish();
 
         prop_assert_eq!(&full, &cut, "warm-boundary resume diverged at {}..{}", a, b);
@@ -185,7 +191,7 @@ proptest! {
         let trace = trace_from(&seeds);
         let cfg = MachineModel::Small.config(IssueWidth::Dual, LatencyModel::Fixed(17));
         let mut sim = Simulator::new(&cfg);
-        sim.feed_records(trace.records());
+        sim.feed_ops(trace.iter());
         let image = sim.save_checkpoint();
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         let cut = ((frac * image.len() as f64) as usize).min(image.len() - 1);
@@ -208,7 +214,7 @@ fn save_restore_save_is_identity() {
     for model in MachineModel::ALL {
         let cfg = model.config(IssueWidth::Dual, LatencyModel::average_17());
         let mut sim = Simulator::new(&cfg);
-        sim.feed_records(trace.records());
+        sim.feed_ops(trace.iter());
         let first = sim.save_checkpoint();
         let mut sim = Simulator::new(&cfg);
         sim.restore_checkpoint(&first).expect("restore own image");
@@ -223,7 +229,7 @@ fn save_restore_save_is_identity() {
 fn corrupt_section_tag_is_rejected() {
     let cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     let mut sim = Simulator::new(&cfg);
-    sim.feed_records(trace_from(&[3, 1, 4, 1, 5, 9, 2, 6]).records());
+    sim.feed_ops(trace_from(&[3, 1, 4, 1, 5, 9, 2, 6]).iter());
     let mut image = sim.save_checkpoint();
     // The image opens with a format header followed by the first
     // section tag; smashing an early byte must fail loudly.

@@ -46,7 +46,7 @@ fn every_stall_cycle_attributes_to_exactly_one_cause() {
             let mut cfg = model.config(width, LatencyModel::Fixed(17));
             cfg.observe = true;
             let mut sim = Simulator::new(&cfg);
-            sim.feed_packed(&trace);
+            sim.feed_ops(trace.iter());
             let (stats, obs) = sim.finish_observed();
             let obs = obs.expect("observer attached");
 
@@ -141,7 +141,7 @@ fn chrome_trace_json_is_well_formed_and_complete() {
     let mut cfg = MachineModel::Baseline.config(IssueWidth::Dual, LatencyModel::Fixed(17));
     cfg.observe = true;
     let mut sim = Simulator::new(&cfg);
-    sim.feed_packed(&trace);
+    sim.feed_ops(trace.iter());
     let (stats, obs) = sim.finish_observed();
     let obs = obs.expect("observer attached");
     assert!(!obs.is_empty(), "espresso must produce events");
